@@ -35,7 +35,7 @@ __all__ = [
     "cutoff_chi", "cutoff_chi_tilde", "cutoff_chi_prime",
     "cutoff_chi_tilde_prime",
     "commutant_symbol", "classify_point", "hamilton_derivative_symbol",
-    "sample_states", "sign_audit", "alpha_star",
+    "sample_states", "is_audited", "sign_audit", "alpha_star",
     "constant_potential", "radial_test_function", "sharpness_profile",
     "random_suite",
 ]
@@ -62,8 +62,7 @@ class TestFunction:
 
     The angular nodes must be the ones `polar_quadrature(len(phi))` returns;
     the integral routines refuse anything else because the weights would not
-    match.  du_t is only carried for spacetime bookkeeping and no integral
-    here consumes it.
+    match.
     """
 
     r: np.ndarray
@@ -71,7 +70,6 @@ class TestFunction:
     u: np.ndarray
     du_r: np.ndarray
     du_phi: np.ndarray
-    du_t: Optional[np.ndarray] = None
     compact_support: bool = True
     origin_order: int = 1
 
@@ -92,11 +90,6 @@ class TestFunction:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        if self.du_t is not None:
-            arr = np.asarray(self.du_t, dtype=float)
-            if arr.shape != shape or not np.all(np.isfinite(arr)):
-                raise ValueError("du_t must match the grid and be finite")
-            object.__setattr__(self, "du_t", arr)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
 
@@ -558,7 +551,6 @@ def _hamilton_fd(p: CommutantParams, point: FlowState, g: SphereMetric,
 
 
 def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
-                               fpot: Optional[PotentialProfile] = None,
                                g: Optional[SphereMetric] = None,
                                method: str = "analytic",
                                fd_step: float = 1e-5):
@@ -566,7 +558,7 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
 
     The flow is the principal one: the r^{-2}-weighted potential enters the
     operator at lower order and drops out of the principal Hamilton field,
-    so fpot is validated but cannot change the value.  method "analytic"
+    so the derivative takes no potential.  method "analytic"
     differentiates term by term; "fd" advances the rescaled flow and takes
     a one-sided second-order difference of the symbol.  Returns
     (value, classification).
@@ -574,8 +566,6 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
     g = circle() if g is None else g
     if point.r <= 0.0:
         raise ValueError("Hamilton derivative needs r > 0")
-    if fpot is not None and not math.isfinite(fpot.sup_bound):
-        raise ValueError("potential sup bound must be finite")
     label = classify_point(p, point, g)
     if method == "analytic":
         value = _hamilton_analytic(p, point, g)
@@ -647,6 +637,14 @@ class AuditResult:
     counts: dict
 
 
+def is_audited(p: CommutantParams, point: FlowState, label: str,
+               g: Optional[SphereMetric] = None) -> bool:
+    """Whether the sign audit holds a point to H_p a <= 0: a "main b2" or
+    "good-sign g" label and a strictly positive symbol value."""
+    return (label in ("main b2", "good-sign g")
+            and commutant_symbol(p, point, g) > 0.0)
+
+
 def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
                min_kept: int = 10000, batch: int = 2048,
                max_scan: int = 4_000_000) -> AuditResult:
@@ -670,8 +668,7 @@ def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
         for st in sample_states(p, start, batch, g):
             value, label = hamilton_derivative_symbol(p, st, g=g)
             counts[label] = counts.get(label, 0) + 1
-            if label in ("main b2", "good-sign g") \
-                    and commutant_symbol(p, st, g) > 0.0:
+            if is_audited(p, st, label, g):
                 kept += 1
                 if value > worst:
                     worst = value

@@ -40,7 +40,6 @@ class RadialGrid:
     """Strictly increasing positive radii; inner product is int f g r dr."""
     points: np.ndarray
     r_max: float
-    measure: str = "r_dr"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -49,8 +48,6 @@ class RadialGrid:
             raise ValueError("grid needs at least two points")
         if pts[0] <= 0 or np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing and > 0")
-        if self.measure != "r_dr":
-            raise ValueError(f"unsupported measure {self.measure!r}")
 
     def __len__(self):
         return len(self.points)

@@ -2,8 +2,11 @@
 
 Solves u_tt = u_rr + u_r/r - nu^2 u/r^2 with zero initial displacement and a
 mollified delta initial velocity, on a staggered grid that never touches
-r = 0. Nothing here imports the kernel integrals; the comparison harness is
-the only meeting point of the two code paths.
+r = 0. The solver, `solve_mode`, uses nothing from the kernel module. The
+comparison harness does: `mollified_kernel` and `compare_kernel` evaluate
+the analytic mode kernel, and `leakage_ratio` uses its region
+classification. The harness is the only meeting point of the two code
+paths.
 """
 
 from __future__ import annotations

@@ -356,5 +356,16 @@ class TestVerifyQuick:
         assert header == ("check", "value", "bound", "status")
         assert meta["tier"] == "quick"
         assert meta["failures"] == "0"
-        assert len(rows) >= 15
+        assert column(header, rows, "check") == [
+            "diffractive-limit", "front-jump", "free-null", "exclusion-flag",
+            "exclusion-jump", "lipschitz-hankel", "hankel-involution",
+            "hankel-involution-refine", "hankel-eigen", "oracle-agreement",
+            "oracle-leakage", "oracle-order", "flow-origin", "flow-envelope",
+            "flow-conservation", "flow-rescaled-match", "hardy-n3",
+            "norm-equivalence-n3", "symbol-audit", "symbol-dual-route"]
         assert all(row[-1] == "pass" for row in rows)
+        # no floor at zero: both lines show how far inside the bound they are
+        value = dict(zip(column(header, rows, "check"),
+                         map(float, column(header, rows, "value"))))
+        assert value["symbol-audit"] < 0.0
+        assert value["norm-equivalence-n3"] < 0.0
