@@ -212,7 +212,7 @@ def verify_rows(quick: bool, seed: int):
 
     yield "flow-origin", strike_radius(1e-4), 1e-6
     step = 3e-4 if quick else 1e-4
-    yield "flow-envelope", max(0.0, envelope_dip(step)), 1e-6
+    yield "flow-envelope", envelope_dip(step), 1e-6
     yield "flow-conservation", conservation_drift(1e-3 if quick else 1e-4), \
         1e-6 if quick else 1e-8
     yield "flow-rescaled-match", parametrization_gap(step), \

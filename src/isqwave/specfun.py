@@ -2,24 +2,24 @@
 second-kind Legendre function of half-integer-shifted degree on (1, inf).
 
 Everything is self-contained (no library special functions). Bessel J is
-evaluated by a compensated ascending series for small-to-moderate argument
-and by the large-argument phase expansion at reduced order plus upward
-recurrence otherwise; both branches overlap and are cross-checked in tests.
+evaluated by Miller's backward recurrence for small-to-moderate argument or
+large order, and by the large-argument phase expansion at reduced order plus
+upward recurrence otherwise; both branches overlap and are cross-checked in
+tests. Each is written once, elementwise on a float or a numpy array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._ddouble import dd_add, dd_div, dd_mul, dd_mul_d, two_prod, two_sum
 from .quadrature import integrate_adaptive, integrate_decaying
 
-SERIES_Z_MAX = 20.0       # ascending series up to here for any order
-SERIES_ORDER_RATIO = 0.75  # and beyond, whenever nu >= ratio * z
-_SERIES_CUTOFF = 1e-34     # relative term size at which the series stops
+MILLER_Z_MAX = 20.0        # Miller's algorithm up to here for any order
+MILLER_ORDER_RATIO = 0.75  # and beyond, whenever nu >= ratio * z
+_LOG_EPS = 53 * math.log(2.0)  # -ln of the double-precision unit roundoff
+_GAMMA_X_MAX = 171.62      # Gamma(x) overflows a double just above this
 _Q_TOL = 1e-11
 
 
@@ -27,17 +27,8 @@ class DomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    nu: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu) or self.nu < 0:
-            raise DomainError(f"order must be finite and >= 0, got {self.nu!r}")
-
-
 def _order_value(order) -> float:
-    nu = order.nu if isinstance(order, BesselOrder) else float(order)
+    nu = float(order)
     if not math.isfinite(nu) or nu < 0:
         raise DomainError(f"order must be finite and >= 0, got {order!r}")
     return nu
@@ -66,84 +57,90 @@ def _lanczos_series(x: float) -> float:
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for x > 0, relative error around 1e-13 on [0.5, 50]."""
-    if not (x > 0):
-        raise DomainError(f"gamma requires x > 0, got {x!r}")
+    """Gamma(x) for 0 < x <= 171.62, relative error around 1e-13 on
+    [0.5, 171.62]; above that Gamma(x) overflows and DomainError is raised."""
+    if not (0 < x <= _GAMMA_X_MAX):
+        raise DomainError(f"gamma requires 0 < x <= {_GAMMA_X_MAX}, got {x!r}")
     t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) \
+    # t^(x - 1/2) alone overflows from x ~ 143; exp(-t) scales each half back
+    half_power = t ** (0.5 * (x - 0.5))
+    return math.sqrt(2.0 * math.pi) * half_power * (half_power * math.exp(-t)) \
         * _lanczos_series(x)
 
 
-def lgamma(x: float) -> float:
-    """log Gamma(x) for x > 0, same approximation as gamma()."""
-    if not (x > 0):
-        raise DomainError(f"lgamma requires x > 0, got {x!r}")
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t \
-        + math.log(_lanczos_series(x))
+def _debye_exponent(n: float, z: float) -> float:
+    """phi with J_n(z) / |Y_n(z)| ~ exp(-phi) / 2 for n > z (Debye's
+    expansions, DLMF 10.19(ii)); 0 for n <= z."""
+    if n <= z:
+        return 0.0
+    a = math.acosh(n / z)
+    return 2.0 * n * (a - math.tanh(a))
 
 
-def _series_prefactor(nu: float, z):
-    # (z/2)^nu / Gamma(nu+1), safe against overflow of the power alone
-    return np.exp(nu * np.log(z / 2.0) - lgamma(nu + 1.0))
+def _miller_start(nu: float, z: float) -> int:
+    """Start index N of the backward recurrence for J_nu at arguments up to z.
+
+    Started from y_{N+1} = 0, the recurrence yields J_nu (1 + e) with
+    e ~ (J_N / Y_N) (Y_nu / J_nu) (Gautschi, SIAM Rev. 9, 1967),
+    and the Neumann sum loses terms of size ~J_N ~ exp(-phi(N) / 2). Both
+    are below the unit roundoff once phi(N) >= LOG_EPS + max(LOG_EPS, phi(nu)).
+    phi grows with n, so N is searched upward in steps of at most 1/32 of it.
+    """
+    target = _LOG_EPS + max(_LOG_EPS, _debye_exponent(nu, z))
+    n = math.floor(max(nu, z)) + 1
+    while _debye_exponent(n, z) < target:
+        n += 1 + n // 32
+    return n
 
 
-def _bessel_series(nu: float, z):
-    """Ascending series with compensated accumulation; z scalar or array > 0."""
-    q = dd_mul_d(two_prod(z, z), -0.25)   # -z^2/4, exactly rounded
-    one = np.ones_like(z) if isinstance(z, np.ndarray) else 1.0
-    term = (one * 1.0, one * 0.0)
-    total = term
-    abs_sum = one * 1.0
-    for k in range(400):
-        denom = dd_mul_d(two_sum(nu, float(k + 1)), float(k + 1))
-        term = dd_div(dd_mul(term, q), denom)
-        total = dd_add(total, term)
-        abs_sum = abs_sum + np.abs(term[0])
-        if np.all(np.abs(term[0]) <= _SERIES_CUTOFF * abs_sum):
-            break
-    return _series_prefactor(nu, z) * (total[0] + total[1])
+def _bessel_miller(nu: float, z):
+    """J_nu(z) by Miller's backward recurrence (DLMF 3.6), for z > 0 a float
+    or an array.
+
+    With m = floor(nu) and mu = nu - m, the recurrence runs from index N (for
+    the largest z) down to 0 over the orders mu + n, on the ratios
+    r_n = y_n / y_{n-1} = z / (2 (mu + n) - z r_{n+1}), so nothing overflows
+    at any z. The Neumann series (DLMF 10.23)
+        (z/2)^mu = sum_k (mu + 2k) Gamma(mu + k) / k! J_{mu+2k}(z)
+    normalises y, accumulated as u_n = sum_{2k >= n} c_k y_{2k} / y_n, and
+    the product of r_1 .. r_m carries y_0 up to y_m.
+    """
+    m = math.floor(nu)
+    mu = nu - m
+    n_top = _miller_start(nu, float(np.max(z)))
+    # c_0 = Gamma(mu + 1) and c_k = (mu + 2k) g_k with g_k = Gamma(mu + k) / k!
+    weight = [0.0] * (n_top + 1)
+    g = weight[0] = gamma(mu + 1.0)
+    for k in range(1, n_top // 2 + 1):
+        weight[2 * k] = (mu + 2 * k) * g
+        g *= (mu + k) / (k + 1)
+    r, u, p = 0.0, weight[n_top], 1.0
+    for n in range(n_top, 0, -1):
+        r = z / (2.0 * (mu + n) - z * r)
+        u = weight[n - 1] + u * r
+        if n <= m:
+            p = p * r
+    # np.power, unlike **, rounds a float exactly as it rounds an array
+    return np.power(z, mu) / 2.0 ** mu * p / u
 
 
 def _bessel_asymptotic_reduced(mu: float, z):
-    """Phase expansion for J_mu(z), |mu| < 2, valid for z above ~20."""
+    """Phase expansion for J_mu(z), |mu| < 2, z > 20 (DLMF 10.17(i)), where
+    none of its 29 terms grows against the one before it."""
     mu4 = 4.0 * mu * mu
-    if isinstance(z, np.ndarray):
-        P = np.ones_like(z)
-        Q = np.zeros_like(z)
-        term = np.ones_like(z)
-        active = np.ones(z.shape, dtype=bool)
-        for k in range(1, 30):
-            new = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * z)
-            grow = np.abs(new) >= np.abs(term)
-            active &= ~grow
-            if not active.any():
-                break
-            upd = np.where(active, new, 0.0)
-            if k % 2 == 1:
-                Q += upd * (-1.0) ** ((k - 1) // 2)
-            else:
-                P += upd * (-1.0) ** (k // 2)
-            term = np.where(active, new, term)
-        omega = z - mu * math.pi / 2.0 - math.pi / 4.0
-        return np.sqrt(2.0 / (math.pi * z)) * (P * np.cos(omega) - Q * np.sin(omega))
-    P, Q = 1.0, 0.0
-    term = 1.0
+    P, Q, term = 1.0, 0.0, 1.0
     for k in range(1, 30):
-        new = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * z)
-        if abs(new) >= abs(term):
-            break
+        term = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * z)
         if k % 2 == 1:
-            Q += new * (-1.0) ** ((k - 1) // 2)
+            Q = Q + term * (-1.0) ** ((k - 1) // 2)
         else:
-            P += new * (-1.0) ** (k // 2)
-        term = new
+            P = P + term * (-1.0) ** (k // 2)
     omega = z - mu * math.pi / 2.0 - math.pi / 4.0
-    return math.sqrt(2.0 / (math.pi * z)) * (P * math.cos(omega) - Q * math.sin(omega))
+    return np.sqrt(2.0 / (math.pi * z)) * (P * np.cos(omega) - Q * np.sin(omega))
 
 
 def _bessel_large_z(nu: float, z):
-    """J_nu(z) for z > SERIES_Z_MAX and nu < SERIES_ORDER_RATIO*z: reduced-order
+    """J_nu(z) for z > MILLER_Z_MAX and nu < MILLER_ORDER_RATIO*z: reduced-order
     phase expansion plus upward recurrence (stable since nu < z here)."""
     m = int(math.floor(nu))
     mu0 = nu - m
@@ -151,37 +148,40 @@ def _bessel_large_z(nu: float, z):
     if m == 0:
         return j_lo
     j_hi = _bessel_asymptotic_reduced(mu0 + 1.0, z)
-    if m == 1:
-        return j_hi
     for k in range(1, m):
         j_lo, j_hi = j_hi, (2.0 * (mu0 + k) / z) * j_hi - j_lo
     return j_hi
 
 
 def bessel_j(order, z: float) -> float:
-    """J_nu(z) for nu >= 0, z >= 0."""
+    """J_nu(z) for nu >= 0 and finite z >= 0.
+
+    Where |J_nu(z)| falls below the smallest normal double, 2.2e-308 (nu much
+    larger than z), the value returned is subnormal or 0: its absolute error
+    stays below 1e-307, its relative error does not.
+    """
     nu = _order_value(order)
-    if z < 0:
-        raise DomainError(f"bessel_j requires z >= 0, got {z!r}")
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"bessel_j requires finite z >= 0, got {z!r}")
     if z == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if z <= SERIES_Z_MAX or nu >= SERIES_ORDER_RATIO * z:
-        return float(_bessel_series(nu, float(z)))
+    if z <= MILLER_Z_MAX or nu >= MILLER_ORDER_RATIO * z:
+        return float(_bessel_miller(nu, float(z)))
     return float(_bessel_large_z(nu, float(z)))
 
 
 def bessel_j_array(order, z: np.ndarray) -> np.ndarray:
-    """Vectorized J_nu over an array of arguments z >= 0 (single order)."""
+    """bessel_j over an array of arguments z, for a single order."""
     nu = _order_value(order)
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("bessel_j_array requires z >= 0")
+    if not np.all((z >= 0.0) & (z < np.inf)):
+        raise DomainError("bessel_j_array requires finite z >= 0")
     out = np.empty_like(z)
     zero = z == 0.0
     out[zero] = 1.0 if nu == 0.0 else 0.0
-    small = (~zero) & ((z <= SERIES_Z_MAX) | (nu >= SERIES_ORDER_RATIO * z))
+    small = (~zero) & ((z <= MILLER_Z_MAX) | (nu >= MILLER_ORDER_RATIO * z))
     if small.any():
-        out[small] = _bessel_series(nu, z[small])
+        out[small] = _bessel_miller(nu, z[small])
     big = (~zero) & ~small
     if big.any():
         out[big] = _bessel_large_z(nu, z[big])

@@ -364,8 +364,9 @@ class TestVerifyQuick:
             "flow-conservation", "flow-rescaled-match", "hardy-n3",
             "norm-equivalence-n3", "symbol-audit", "symbol-dual-route"]
         assert all(row[-1] == "pass" for row in rows)
-        # no floor at zero: both lines show how far inside the bound they are
+        # no floor at zero: these lines show how far inside the bound they are
         value = dict(zip(column(header, rows, "check"),
                          map(float, column(header, rows, "value"))))
         assert value["symbol-audit"] < 0.0
         assert value["norm-equivalence-n3"] < 0.0
+        assert value["flow-envelope"] < 0.0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from isqwave.quadrature import integrate_adaptive
 from isqwave.specfun import (
-    BesselOrder,
     DomainError,
     bessel_j,
     bessel_j_array,
@@ -80,6 +79,13 @@ def test_gamma_domain():
         gamma(-2.5)
 
 
+def test_gamma_up_to_overflow():
+    # finite up to x ~ 171.62, where Gamma leaves the double range
+    assert gamma(150.0) == pytest.approx(math.gamma(150.0), rel=1e-12)
+    with pytest.raises(DomainError):
+        gamma(172.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.5, 29.0))
 def test_gamma_recurrence(x):
@@ -89,12 +95,12 @@ def test_gamma_recurrence(x):
 # ---- bessel_j ----
 
 def test_j0_at_origin():
-    assert bessel_j(BesselOrder(0.0), 0.0) == 1.0
-    assert bessel_j(BesselOrder(1.3), 0.0) == 0.0
+    assert bessel_j(0.0, 0.0) == 1.0
+    assert bessel_j(1.3, 0.0) == 0.0
 
 
 def test_half_order_zero_at_pi():
-    assert abs(bessel_j(BesselOrder(0.5), math.pi)) < 1e-10
+    assert abs(bessel_j(0.5, math.pi)) < 1e-10
 
 
 def test_half_order_closed_form_grid():
@@ -103,9 +109,9 @@ def test_half_order_closed_form_grid():
 
 
 def test_against_poisson_integral():
-    assert bessel_j(BesselOrder(2.3), 1.7) == pytest.approx(
+    assert bessel_j(2.3, 1.7) == pytest.approx(
         poisson_integral_j(2.3, 1.7), abs=1e-8)
-    assert bessel_j(BesselOrder(0.9), 6.2) == pytest.approx(
+    assert bessel_j(0.9, 6.2) == pytest.approx(
         poisson_integral_j(0.9, 6.2), abs=1e-8)
 
 
@@ -158,22 +164,44 @@ def test_amplitude_bound():
         assert abs(bessel_j(nu, z)) <= 1.0 + 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 300.0),
+       st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 2.2e-308)))
+def test_property_against_mpmath(nu, z):
+    # z draws include subnormals; where |J| underflows both sides are ~0
+    value = bessel_j(nu, z)
+    assert abs(value - float(mpmath.besselj(nu, z))) <= 1e-10, (nu, z)
+    assert bessel_j_array(nu, np.array([z]))[0] == value
+
+
+def test_large_order_pins():
+    # nu >= 0.75 z with z far above 20: the Miller branch at large order
+    for nu, z in [(80.0, 100.0), (120.0, 150.0), (200.0, 260.0)]:
+        ref = float(mpmath.besselj(nu, z))
+        assert abs(bessel_j(nu, z) - ref) <= 1e-12, (nu, z)
+
+
 def test_bessel_domain():
     with pytest.raises(DomainError):
         bessel_j(0.5, -1.0)
     with pytest.raises(DomainError):
-        BesselOrder(-0.1)
+        bessel_j(-0.1, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bessel_j(1.0, bad)
+        with pytest.raises(DomainError):
+            bessel_j_array(1.0, np.array([1.0, bad]))
 
 
 # ---- legendre_q_shifted ----
 
 def test_q_zero_closed_form():
-    assert legendre_q_shifted(BesselOrder(0.5), 2.0) == pytest.approx(
+    assert legendre_q_shifted(0.5, 2.0) == pytest.approx(
         q_degree_zero(2.0), abs=1e-9)
 
 
 def test_q_one_closed_form():
-    assert legendre_q_shifted(BesselOrder(1.5), 2.0) == pytest.approx(
+    assert legendre_q_shifted(1.5, 2.0) == pytest.approx(
         q_degree_one(2.0), abs=1e-9)
 
 
