@@ -8,6 +8,9 @@ t > r1 + r2 (region III) picks up an extra diffractive term proportional to
 sin(pi nu). The jump of the kernel across t = r1 + r2 is
 -(1/2) (r1 r2)^(-1/2) sin(pi nu), which vanishes exactly when nu is an
 integer: that is the observable this module exists to measure.
+
+Each region integral is one numpy-ufunc integrand, for arrays and scalars alike, run by
+quadrature.integrate_smooth: its Gauss-Legendre ladder, or adaptive GK15 next to a cone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_adaptive, integrate_decaying
+from .quadrature import integrate_decaying, integrate_smooth
 from .specfun import bessel_j, legendre_q_shifted
 
 _INNER_TOL = 1e-11          # quadrature tolerance inside kernel integrals
@@ -108,10 +111,10 @@ def _region_ii_value(nu: float, p: KernelPoint) -> float:
 
     def integrand(w):
         w2 = w * w
-        den = c * math.sin(s_star - 0.5 * w2) * math.sin(0.5 * w2)
-        return 2.0 * w * math.cos(nu * (s_star - w2)) / math.sqrt(den)
+        den = c * np.sin(s_star - 0.5 * w2) * np.sin(0.5 * w2)
+        return 2.0 * w * np.cos(nu * (s_star - w2)) / np.sqrt(den)
 
-    res = integrate_adaptive(integrand, 0.0, math.sqrt(s_star), _INNER_TOL)
+    res = integrate_smooth(integrand, 0.0, math.sqrt(s_star), _INNER_TOL)
     return res.value / math.pi
 
 
@@ -133,10 +136,10 @@ def diffractive_integral(nu: float, beta: float) -> float:
     # sinh(w^2/2), formed from w directly.
     def integrand(w):
         w2 = w * w
-        den = 4.0 * math.sinh(beta - 0.5 * w2) * math.sinh(0.5 * w2)
-        return 2.0 * w * math.exp(-nu * (beta - w2)) / math.sqrt(den)
+        den = 4.0 * np.sinh(beta - 0.5 * w2) * np.sinh(0.5 * w2)
+        return 2.0 * w * np.exp(-nu * (beta - w2)) / np.sqrt(den)
 
-    res = integrate_adaptive(integrand, 0.0, math.sqrt(beta), _INNER_TOL)
+    res = integrate_smooth(integrand, 0.0, math.sqrt(beta), _INNER_TOL)
     return res.value
 
 
@@ -149,10 +152,9 @@ def _region_iii_value(nu: float, p: KernelPoint) -> float:
     c = r1 * r2
 
     def integrand(s):
-        den = c * (2.0 * math.cosh(beta) + 2.0 * math.cos(s))
-        return math.cos(nu * s) / math.sqrt(den)
+        return np.cos(nu * s) / np.sqrt(c * (2.0 * math.cosh(beta) + 2.0 * np.cos(s)))
 
-    main = integrate_adaptive(integrand, 0.0, math.pi, _INNER_TOL).value
+    main = integrate_smooth(integrand, 0.0, math.pi, _INNER_TOL).value
     diff = math.sin(math.pi * nu) * diffractive_integral(nu, beta) / math.sqrt(c)
     return (main - diff) / math.pi
 
@@ -238,14 +240,14 @@ def cone_limits(m: ModeParams, r2: float, t: float,
 
 
 def synthesize_kernel(a: float, p: KernelPoint, dtheta: float,
-                      n_max: int) -> complex:
+                      n_max: int) -> float:
     """Partial mode sum sum_{|n| <= n_max} e^(i n dtheta) K_{nu_n}(p).
 
-    nu_n depends only on |n|, so conjugate modes pair into cosines and the
-    sum is real up to roundoff. Normalization is pinned by the free case:
-    at a = 0 the full sum converges to (t^2 - R^2)^(-1/2) with R the chord
-    distance, i.e. 2 pi times the plane propagator, so physical values are
-    this sum divided by 2 pi.
+    nu_n depends only on |n|, so the modes pair into the real sum
+    K_0 + 2 sum_{n >= 1} cos(n dtheta) K_n. Normalization is pinned by the
+    free case: at a = 0 the full sum converges to (t^2 - R^2)^(-1/2) with R
+    the chord distance, i.e. 2 pi times the plane propagator, so physical
+    values are this sum divided by 2 pi.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -253,13 +255,7 @@ def synthesize_kernel(a: float, p: KernelPoint, dtheta: float,
     for n in range(1, n_max + 1):
         k = mode_kernel(mode_params(n, a), p)
         total += 2.0 * math.cos(n * dtheta) * k
-    return complex(total, 0.0)
-
-
-def mode_magnitudes(a: float, p: KernelPoint, n_max: int) -> np.ndarray:
-    """|K_{nu_n}(p)| for n = 0..n_max; the truncation-error diagnostic."""
-    return np.array([abs(mode_kernel(mode_params(n, a), p))
-                     for n in range(n_max + 1)])
+    return total
 
 
 def verify_lipschitz_hankel(nu: float, r1: float, r2: float, t: float) -> float:

@@ -1,22 +1,27 @@
-"""Adaptive numerical integration used by every closed-form evaluation in the package.
+"""Numerical integration used by every closed-form evaluation in the package.
 
-Three entry points:
+Four entry points:
 
+ * integrate_smooth            -- analytic integrands, vectorised, on Gauss-Legendre rules
  * integrate_adaptive          -- smooth (piecewise analytic) integrands on [a, b]
  * integrate_endpoint_singular -- integrands with inverse-square-root blowup at a and/or b
  * integrate_decaying          -- semi-infinite integrals of exponentially damped integrands
 
-All three return a QuadResult and share one evaluation budget per call.
+All four return a QuadResult; the adaptive ones share one evaluation budget per call.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 DEFAULT_TOL = 1e-10
 EVAL_BUDGET = 2 ** 16
+GAUSS_LADDER = (32, 64, 128, 256, 512, 1024)   # rule sizes of integrate_smooth
 
 
 class QuadratureError(Exception):
@@ -123,6 +128,55 @@ def integrate_adaptive(f, a: float, b: float, tol: float = DEFAULT_TOL,
             f"error estimate {total_err:.3e} > tol {tol:.3e} "
             f"after {evals} evaluations")
     return QuadResult(total, total_err, evals)
+
+
+@functools.cache
+def gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from Tricomi's guesses (Hale and Townsend, SIAM J. Sci. Comput.
+    2013), carrying P_j - P_{j-1} in y = 1 - x for accuracy next to x = 1; O(n) memory.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(20):
+        y = 1.0 - x
+        p, dif = x, -y                       # P_1 and P_1 - P_0
+        for j in range(2, n + 1):
+            dif = ((j - 1) * dif - (2 * j - 1) * y * p) / j
+            p = p + dif
+        d = n * (y * p - dif)                # (1 - x^2) P_n'(x) = n (P_{n-1} - x P_n)
+        dx = p * y * (1.0 + x) / d           # P_n / P_n'
+        root = x - dx
+        if np.max(np.abs(dx)) <= 1e-12:
+            break
+        x = root
+    # w = 2 (1 - x^2) / d^2 at the root x - dx; d is stationary there, 1 - x^2 is not
+    w = 2.0 * ((1.0 - root) * (1.0 + root) + 2.0 * root * ((root - x) + dx)) / (d * d)
+    rule = np.concatenate((-root, root[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Integrate an analytic f over [a, b] on a ladder of Gauss-Legendre rules.
+
+    f maps an array of nodes to its values. The GAUSS_LADDER rules run in turn, one call
+    of f each, until a value is within tol of the one before (the error estimate); if none
+    settles, integrate_adaptive runs on f at scalars and its errors propagate.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    evals, prev = 0, math.nan
+    for n in GAUSS_LADDER:
+        x, w = gauss_legendre(n)
+        val = h * float(w @ f(c + h * x))
+        evals += n
+        if abs(val - prev) <= tol:
+            return QuadResult(val, abs(val - prev), evals)
+        prev = val
+    res = integrate_adaptive(f, a, b, tol)
+    return QuadResult(float(res.value), float(res.error_estimate), evals + res.evaluations)
 
 
 def integrate_endpoint_singular(f, a: float, b: float, tol: float = DEFAULT_TOL,

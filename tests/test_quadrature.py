@@ -1,17 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isqwave.quadrature import (
+    GAUSS_LADDER,
     BadHint,
     NonConvergence,
     NonFinite,
     QuadResult,
+    gauss_legendre,
     integrate_adaptive,
     integrate_decaying,
     integrate_endpoint_singular,
+    integrate_smooth,
 )
 
 TOL = 1e-10
@@ -140,3 +148,67 @@ def test_interval_additivity():
     bound = whole.error_estimate + left.error_estimate \
         + right.error_estimate + 1e-12
     assert abs(whole.value - (left.value + right.value)) <= bound
+
+
+def test_ladder_rules_exact_on_even_monomials():
+    # the n-point rule integrates every polynomial of degree <= 2n - 1
+    for n in GAUSS_LADDER:
+        x, w = gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0.0)
+        for k in range(n):
+            assert abs(w @ x ** (2 * k) - 2.0 / (2 * k + 1)) < 1e-14, (n, k)
+
+
+def test_largest_rule_weights_against_mpmath():
+    n = 1024
+    x, w = gauss_legendre(n)
+    with mp.workdps(30):
+        for i in (0, 1, 300, n // 2):
+            # one Newton step from the double node is accurate far beyond
+            # double precision; the weight is 2 (1 - x^2) / (n P_{n-1})^2
+            r = mp.mpf(float(x[i]))
+            p, q = mp.legendre(n, r), mp.legendre(n - 1, r)
+            r -= p * (1 - r * r) / (n * (q - r * p))
+            want = 2 * (1 - r * r) / (n * mp.legendre(n - 1, r)) ** 2
+            assert abs(float((w[i] - want) / want)) < 1e-12, i
+
+
+def test_smooth_settles_on_the_ladder():
+    r = integrate_smooth(np.cos, 0.0, 1.0, 1e-12)
+    assert abs(r.value - math.sin(1.0)) < 1e-14
+    # 32 and 64 points agree: the count is the sum over the sizes tried
+    assert r.evaluations == 32 + 64
+    assert 0.0 <= r.error_estimate <= 1e-12
+
+
+def test_smooth_falls_back_to_adaptive():
+    # a kink: Gauss-Legendre converges only algebraically, so no two ladder
+    # sizes agree to 1e-10 and the adaptive rule bisects onto the kink
+    r = integrate_smooth(lambda s: np.abs(s - 1.0 / 3.0), 0.0, 1.0, TOL)
+    assert abs(r.value - 5.0 / 18.0) < 1e-10
+    assert r.evaluations > sum(GAUSS_LADDER)
+
+
+def test_smooth_fallback_errors_propagate():
+    def spike(s):
+        d = np.abs(s - 1.0 / math.sqrt(2.0))
+        return np.minimum(np.where(d > 0, d, 1e-300) ** -0.999, 1e300)
+    with pytest.raises(NonConvergence):
+        integrate_smooth(spike, 0.0, 1.0, 1e-10)
+    with pytest.raises(NonFinite):
+        integrate_smooth(lambda s: np.where(np.abs(s - 0.5) < 0.05, np.nan, 1.0),
+                         0.0, 1.0, TOL)
+
+
+def test_no_rule_built_at_import():
+    # the kernel stack; energy still takes its angular rules from numpy's leggauss
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, isqwave, isqwave.kernel\n"
+            "from isqwave.quadrature import gauss_legendre\n"
+            "print(gauss_legendre.cache_info().currsize,"
+            " 'numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["0", "False"]
