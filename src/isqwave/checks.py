@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from .energy import (CommutantParams, alpha_star, constant_potential,
-                     gradient_norm_sq, hamilton_derivative_symbol, hardy_check,
-                     quadratic_form, random_suite, sample_states, sign_audit,
-                     sphere_min_eigenvalue)
+from .energy import (CommutantParams, _sphere_gap_sq, _support_radii,
+                     alpha_star, constant_potential, gradient_norm_sq,
+                     hamilton_derivative_symbol, hardy_check, quadratic_form,
+                     random_suite, sample_states, sign_audit)
 from .geodesic import (FlowState, OriginReached, circle, integrate_flow,
                        sec_envelope_bound)
 from .hankel import (RadialField, RadialGrid, apply_radial_operator,
@@ -150,11 +150,12 @@ def parametrization_gap(step: float) -> float:
 
 def norm_equivalence(suite, n: int, f0: float):
     """(c1, c2, min Q/|grad u|^2, max Q/|grad u|^2) over the suite, for the
-    constant potential f0; c1 takes delta^2 at r = 0."""
+    constant potential f0; c1 takes delta^2 as its minimum over the radii
+    that carry the suite's mass, as `energy.norm_equivalence_check` does."""
     lam = 0.5 * (n - 2)
     fpot = constant_potential(f0)
-    delta_sq = sphere_min_eigenvalue(
-        lambda phi: fpot.func(0.0, phi), n) + lam * lam
+    delta_sq = _sphere_gap_sq(
+        fpot, np.concatenate([_support_radii(tf, n) for tf in suite]), n)
     sup = fpot.sup_bound
     quots = [quadratic_form(tf, fpot, n) / gradient_norm_sq(tf, n)
              for tf in suite]

@@ -614,7 +614,7 @@ COMMANDS = {
         "run the whole check suite and report pass/fail per line",
         [
             Opt("quick", bool, False,
-                "loosened fast tier (about 13 s on 2 CPUs)"),
+                "loosened fast tier (about 4 s on 2 CPUs)"),
         ],
         cmd_verify,
     ),

@@ -30,7 +30,7 @@ __all__ = [
     "polar_quadrature", "angular_weights",
     "hardy_check", "quadratic_form", "gradient_norm_sq",
     "norm_equivalence_check",
-    "sphere_polar_nodes", "sphere_min_eigenvalue", "circle_min_eigenvalue",
+    "sphere_polar_nodes", "sphere_min_eigenvalue",
     "bump", "phi1", "phi2", "phi3",
     "cutoff_chi", "cutoff_chi_tilde", "cutoff_chi_prime",
     "cutoff_chi_tilde_prime",
@@ -249,20 +249,34 @@ def sphere_min_eigenvalue(f, n: int, m: int = 200) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-def circle_min_eigenvalue(f, m: int = 256) -> float:
-    """Minimum eigenvalue of -d^2/dtheta^2 + f on the circle, dense stencil."""
-    nodes = 2.0 * math.pi * np.arange(m) / m
-    fv = np.asarray(f(nodes) if callable(f) else f, dtype=float)
-    if fv.shape == ():
-        fv = np.full(m, float(fv))
-    if fv.shape != (m,):
-        raise ValueError("potential values must match the circle nodes")
-    h = 2.0 * math.pi / m
-    mat = np.diag(2.0 / h ** 2 + fv)
-    idx = np.arange(m)
-    mat[idx, (idx + 1) % m] = -1.0 / h ** 2
-    mat[idx, (idx - 1) % m] = -1.0 / h ** 2
-    return float(np.linalg.eigvalsh(mat)[0])
+def _support_radii(tf: TestFunction, n: int, max_radii: int = 64) -> np.ndarray:
+    """Radii of the rows carrying u's mass, at most max_radii of them,
+    evenly picked."""
+    row_mass = tf.u ** 2 @ _weights_for(tf, n)
+    supported = np.nonzero(row_mass > 1e-12 * row_mass.max())[0]
+    if supported.size == 0:
+        raise ValueError("zero test function")
+    if supported.size > max_radii:
+        pick = np.linspace(0, supported.size - 1, max_radii).astype(int)
+        supported = supported[np.unique(pick)]
+    return tf.r[supported]
+
+
+def _sphere_gap_sq(f: PotentialProfile, radii, n: int, m: int = 200) -> float:
+    """delta^2: the minimum over radii of the lowest eigenvalue of
+    -Laplacian + f(r, .) + lambda^2 on S^{n-1}, lambda = (n-2)/2.
+
+    One eigen-solve per distinct potential row: rows equal bit for bit (as
+    for a potential that does not depend on r) share a solve.  Adding
+    lambda^2 after the minimum is exact, since rounding is monotone.
+    """
+    nodes = sphere_polar_nodes(m)
+    rows = (np.broadcast_to(np.asarray(f.func(r, nodes), dtype=float),
+                            nodes.shape) for r in radii)
+    distinct = {row.tobytes(): row for row in rows}
+    lam = (n - 2) / 2.0
+    return min(sphere_min_eigenvalue(row, n, m)
+               for row in distinct.values()) + lam * lam
 
 
 def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
@@ -276,21 +290,9 @@ def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
     c1 = delta^2 / (delta^2 + sup|f|).  Returns (c1_ok, c2_ok, delta_est).
     """
     lam = (n - 2) / 2.0
-    aw = _weights_for(tf, n)
     grad = gradient_norm_sq(tf, n)
     q = quadratic_form(tf, f, n)
-    row_mass = tf.u ** 2 @ aw
-    supported = np.nonzero(row_mass > 1e-12 * row_mass.max())[0]
-    if supported.size == 0:
-        raise ValueError("zero test function")
-    if supported.size > max_radii:
-        pick = np.linspace(0, supported.size - 1, max_radii).astype(int)
-        supported = supported[np.unique(pick)]
-    nodes = sphere_polar_nodes(eig_m)
-    delta_sq = math.inf
-    for i in supported:
-        fv = np.asarray(f.func(tf.r[i], nodes), dtype=float)
-        delta_sq = min(delta_sq, sphere_min_eigenvalue(fv, n, eig_m) + lam * lam)
+    delta_sq = _sphere_gap_sq(f, _support_radii(tf, n, max_radii), n, eig_m)
     if delta_sq <= 0.0:
         raise PositivityFailure(
             f"sphere operator minimum eigenvalue {delta_sq:.3e} <= 0")

@@ -7,6 +7,12 @@ extends smoothly over r = 0, where striking flows slow down and stall at the
 radial point (r, xi) = (0, 0). The propagating variable xi_hat = xi/tau
 vanishes there instead of flipping sign, which is the behavior these tools
 exist to demonstrate.
+
+Both systems are one field, `_field`, on a packed state: the flat list of
+floats [t, r, *theta, tau, xi, *zeta]. `integrate_flow` runs RK4 on that
+list, four field evaluations per substep, and builds a `FlowState` only
+where it records a sample; `hamilton_rhs` and `rescaled_rhs` wrap the
+field for single states.
 """
 
 from __future__ import annotations
@@ -117,14 +123,34 @@ def characteristic_value(state: FlowState, g: SphereMetric) -> float:
     return state.tau ** 2 - (state.xi ** 2 + zeta_norm_sq(state, g)) / state.r ** 2
 
 
-def _momentum_terms(state: FlowState, g: SphereMetric):
-    z = np.asarray(state.zeta)
-    kz = g.k_inv(state.theta) @ z
+def _field(y: list, g: SphereMetric, d: int, singular: bool) -> list:
+    """Derivative of either system at the packed state
+    y = [t, r, *theta, tau, xi, *zeta] (d angles), packed the same way;
+    `singular` picks the singular system, otherwise the rescaled one."""
+    r, tau, xi = y[1], y[2 + d], y[3 + d]
+    if singular and r <= R_FLOOR:
+        raise OriginSingularity(f"r={r!r} at or below floor {R_FLOOR}")
+    theta = tuple(y[2:2 + d])
+    z = np.array(y[4 + d:])
+    kz = g.k_inv(theta) @ z
     zkz = float(z @ kz)
-    dk = g.dk_inv(state.theta)
     # component l of (d_theta_l k^{ij}) zeta_i zeta_j
-    dz = np.einsum("lij,i,j->l", dk, z, z)
-    return kz, zkz, dz
+    dz = np.einsum("lij,i,j->l", g.dk_inv(theta), z, z)
+    if singular:
+        r2 = r ** 2
+        return [tau, -xi / r, *(kz / (2.0 * r2)).tolist(), 0.0,
+                -(xi ** 2 + zkz) / r2, *(-dz / (4.0 * r2)).tolist()]
+    return [r ** 2 * tau, -r * xi, *(kz / 2.0).tolist(), 0.0,
+            -(xi ** 2 + zkz), *(-dz / 4.0).tolist()]
+
+
+def _pack(state: FlowState) -> list:
+    return [state.t, state.r, *state.theta, state.tau, state.xi, *state.zeta]
+
+
+def _unpack(y: list, d: int) -> FlowState:
+    return FlowState(t=y[0], r=y[1], theta=tuple(y[2:2 + d]), tau=y[2 + d],
+                     xi=y[3 + d], zeta=tuple(y[4 + d:]))
 
 
 def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:
@@ -136,18 +162,8 @@ def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     displayed theta' (so the two momentum equations come from the same
     Hamiltonian pairing).
     """
-    if state.r <= R_FLOOR:
-        raise OriginSingularity(f"r={state.r!r} at or below floor {R_FLOOR}")
-    kz, zkz, dz = _momentum_terms(state, g)
-    r2 = state.r ** 2
-    return FlowState(
-        t=state.tau,
-        r=-state.xi / state.r,
-        theta=tuple(kz / (2.0 * r2)),
-        tau=0.0,
-        xi=-(state.xi ** 2 + zkz) / r2,
-        zeta=tuple(-dz / (4.0 * r2)),
-    )
+    d = len(state.theta)
+    return _unpack(_field(_pack(state), g, d, True), d)
 
 
 def rescaled_rhs(state: FlowState, g: SphereMetric) -> FlowState:
@@ -155,15 +171,8 @@ def rescaled_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     t' = r^2 tau, r' = -r xi, theta' = k zeta/2, tau' = 0,
     xi' = -(xi^2 + |zeta|^2), zeta_l' = -(d_theta_l k^{ij}) zeta_i zeta_j/4.
     """
-    kz, zkz, dz = _momentum_terms(state, g)
-    return FlowState(
-        t=state.r ** 2 * state.tau,
-        r=-state.r * state.xi,
-        theta=tuple(kz / 2.0),
-        tau=0.0,
-        xi=-(state.xi ** 2 + zkz),
-        zeta=tuple(-dz / 4.0),
-    )
+    d = len(state.theta)
+    return _unpack(_field(_pack(state), g, d, False), d)
 
 
 @dataclass(frozen=True)
@@ -174,23 +183,16 @@ class Trajectory:
     system: str
 
 
-def _pack(state: FlowState) -> np.ndarray:
-    return np.array((state.t, state.r) + state.theta + (state.tau, state.xi)
-                    + state.zeta)
-
-
-def _unpack(y: np.ndarray, d: int) -> FlowState:
-    return FlowState(t=float(y[0]), r=float(y[1]), theta=tuple(y[2:2 + d]),
-                     tau=float(y[2 + d]), xi=float(y[3 + d]),
-                     zeta=tuple(y[4 + d:4 + 2 * d]))
-
-
-def _rk4(f, y, h, d):
-    k1 = _pack(f(_unpack(y, d)))
-    k2 = _pack(f(_unpack(y + 0.5 * h * k1, d)))
-    k3 = _pack(f(_unpack(y + 0.5 * h * k2, d)))
-    k4 = _pack(f(_unpack(y + h * k3, d)))
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(stage, y: list, k1: list, h: float) -> list:
+    """One RK4 step of size h from y, whose derivative k1 is known; stage
+    returns the derivative at each later stage point."""
+    hh = 0.5 * h
+    k2 = stage([a + hh * b for a, b in zip(y, k1)])
+    k3 = stage([a + hh * b for a, b in zip(y, k2)])
+    k4 = stage([a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
@@ -203,19 +205,17 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
     Raises OriginReached once r drops below 1e-6 while still moving inward
     on the singular system, with the partial trajectory attached;
     StepUnderflow if halving cannot tame the local rate within the substep
-    budget.
+    budget, or if a stage state or its derivative is not finite.
     """
-    if system == "full":
-        rhs = lambda st: hamilton_rhs(st, g)
-    elif system == "rescaled":
-        rhs = lambda st: rescaled_rhs(st, g)
-    else:
+    if system not in ("full", "rescaled"):
         raise ValueError(f"unknown system {system!r}")
     if step <= 0 or s_span <= 0:
         raise ValueError("step and s_span must be > 0")
-
     d = g.dim
-    y = _pack(s0)
+    if len(s0.theta) != d:
+        raise ValueError(f"state has {len(s0.theta)} angles, metric {d}")
+    singular = system == "full"
+    y = [float(v) for v in _pack(s0)]
     s = 0.0
     states = [s0]
     ss = [0.0]
@@ -236,38 +236,42 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
             raise OriginReached(reason, traj)
         return traj
 
+    def stage(y_stage):
+        # the field is only evaluated at, and only yields, finite states
+        if all(map(math.isfinite, y_stage)):
+            v = _field(y_stage, g, d, singular)
+            if all(map(math.isfinite, v)):
+                return v
+        raise StepUnderflow(f"flow diverged at s={s:.6g} (finite-parameter "
+                            f"blow-up): flow state must be finite")
+
     n_macro = int(math.ceil(s_span / step))
-    for k in range(n_macro):
-        target = min(s_span, (k + 1) * step)
-        substeps = 0
-        while s < target - 1e-15 * s_span:
-            state = _unpack(y, d)
-            if system == "full" and state.r < ORIGIN_RADIUS and state.xi > 0:
-                record(state)
-                return finish(f"r={state.r:.3e} below origin threshold")
-            v = rhs(state)
-            h = target - s
-            rate = abs(v.xi) / (1.0 + abs(state.xi))
-            if rate * h > _RATE_TARGET:
-                h = _RATE_TARGET / rate
-            if system == "full" and v.r < 0.0:
-                # never let a stage cross the origin
-                h = min(h, 0.5 * state.r / (-v.r))
-            if h <= 0 or substeps >= _MAX_SUBSTEPS:
-                raise StepUnderflow(
-                    f"needed more than {_MAX_SUBSTEPS} substeps at s={s:.6g}")
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y = _rk4(rhs, y, h, d)
-            except ValueError as exc:
-                raise StepUnderflow(
-                    f"flow diverged at s={s:.6g} (finite-parameter "
-                    f"blow-up): {exc}") from exc
-            if not np.all(np.isfinite(y)):
-                raise StepUnderflow(f"flow diverged at s={s:.6g}")
-            s += h
-            substeps += 1
-        record(_unpack(y, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_macro):
+            target = min(s_span, (k + 1) * step)
+            substeps = 0
+            while s < target - 1e-15 * s_span:
+                r, xi = y[1], y[3 + d]
+                if singular and r < ORIGIN_RADIUS and xi > 0:
+                    record(_unpack(y, d))
+                    return finish(f"r={r:.3e} below origin threshold")
+                k1 = stage(y)
+                h = target - s
+                rate = abs(k1[3 + d]) / (1.0 + abs(xi))
+                if rate * h > _RATE_TARGET:
+                    h = _RATE_TARGET / rate
+                if singular and k1[1] < 0.0:
+                    # never let a stage cross the origin
+                    h = min(h, 0.5 * r / (-k1[1]))
+                if h <= 0 or substeps >= _MAX_SUBSTEPS:
+                    raise StepUnderflow(
+                        f"needed more than {_MAX_SUBSTEPS} substeps at s={s:.6g}")
+                y = _rk4(stage, y, k1, h)
+                if not all(map(math.isfinite, y)):
+                    raise StepUnderflow(f"flow diverged at s={s:.6g}")
+                s += h
+                substeps += 1
+            record(_unpack(y, d))
     return finish()
 
 
@@ -319,15 +323,6 @@ def trace_through_origin(s0: FlowState, g: SphereMetric, s_span: float,
                         xi=-last.xi, zeta=last.zeta)
     return Trajectory(states=tuple(states), s_values=np.array(ss),
                       sigma_values=np.array(sigmas), system="full+bridge")
-
-
-def xi_hat_profile(trajectory: Trajectory) -> np.ndarray:
-    """Array of rows (s, xi/tau) along the trajectory."""
-    out = np.empty((len(trajectory.states), 2))
-    for i, (s, st) in enumerate(zip(trajectory.s_values, trajectory.states)):
-        out[i, 0] = s
-        out[i, 1] = st.xi / st.tau
-    return out
 
 
 def sec_envelope_bound(state: FlowState, g: SphereMetric) -> float:

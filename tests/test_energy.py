@@ -226,28 +226,12 @@ class TestEigensolvers:
         shifted = en.sphere_min_eigenvalue(lambda ph: 0.0 * ph + 0.37, n)
         assert shifted - base == pytest.approx(0.37, abs=1e-10)
 
-    def test_circle_values(self):
-        assert abs(en.circle_min_eigenvalue(lambda th: 0.0 * th)) < 1e-10
-        got = en.circle_min_eigenvalue(lambda th: 0.0 * th + 1.3)
-        assert got == pytest.approx(1.3, abs=1e-10)
-
     def test_array_and_callable_agree(self):
         nodes = en.sphere_polar_nodes(200)
         fv = np.cos(nodes)
         a = en.sphere_min_eigenvalue(fv, 3)
         b = en.sphere_min_eigenvalue(lambda ph: np.cos(ph), 3)
         assert a == b
-
-    @given(st.lists(st.floats(min_value=-2.0, max_value=2.0),
-                    min_size=4, max_size=4))
-    @settings(max_examples=25, deadline=None)
-    def test_variational_bounds_on_circle(self, coeffs):
-        nodes = 2.0 * math.pi * np.arange(256) / 256
-        fv = sum(c * np.cos((k + 1) * nodes)
-                 for k, c in enumerate(coeffs)) + np.zeros(256)
-        eig = en.circle_min_eigenvalue(fv)
-        # -d^2/dtheta^2 >= 0, and a constant trial function gives the mean
-        assert fv.min() - 1e-9 <= eig <= fv.mean() + 1e-9
 
 
 class TestNormEquivalence:
@@ -278,6 +262,66 @@ class TestNormEquivalence:
         tf = en.random_suite(3, count=1)[0]
         with pytest.raises(en.PositivityFailure):
             en.norm_equivalence_check(tf, en.constant_potential(-0.35), 3)
+
+    def test_one_eigen_solve_for_a_constant_potential(self, monkeypatch):
+        # every radius samples the same potential row
+        calls = []
+        solve = en.sphere_min_eigenvalue
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(en, "sphere_min_eigenvalue", counted)
+        tf = en.random_suite(3, count=1)[0]
+        assert en._support_radii(tf, 3).size > 1
+        en.norm_equivalence_check(tf, en.constant_potential(1.0), 3)
+        assert len(calls) == 1
+
+    def test_radial_potential_takes_minimum_over_radii(self, monkeypatch):
+        # f = 1/(1 + r) falls with r: delta^2 sits at the outermost
+        # supported radius, below its value at the innermost one, and
+        # every radius has its own row, so none may share a solve
+        n, m = 3, 200
+        fpot = en.PotentialProfile(
+            func=lambda r, phi: 1.0 / (1.0 + r) + 0.0 * phi,
+            sup_bound=1.0, lower_bound=0.0)
+        tf = en.random_suite(n, count=1)[0]
+        radii = en._support_radii(tf, n)
+        nodes = en.sphere_polar_nodes(m)
+        per_radius = [en.sphere_min_eigenvalue(fpot.func(r, nodes), n, m)
+                      + 0.25 for r in radii]
+        calls = []
+        solve = en.sphere_min_eigenvalue
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(en, "sphere_min_eigenvalue", counted)
+        ok1, ok2, delta = en.norm_equivalence_check(tf, fpot, n, m)
+        assert ok1 and ok2
+        assert len(calls) == radii.size
+        assert delta ** 2 == min(per_radius)
+        assert min(per_radius) == per_radius[-1] < per_radius[0]
+
+    def test_identical_rows_share_one_solve(self, monkeypatch):
+        # two plateaus: rows inside each are bit-identical, across differ
+        fpot = en.PotentialProfile(
+            func=lambda r, phi: np.where(r < 1.0, 0.8, 0.3) + 0.0 * phi,
+            sup_bound=0.8, lower_bound=0.3)
+        radii = np.linspace(0.5, 1.5, 9)
+        calls = []
+        solve = en.sphere_min_eigenvalue
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(en, "sphere_min_eigenvalue", counted)
+        gap = en._sphere_gap_sq(fpot, radii, 4)
+        assert len(calls) == 2
+        assert gap == solve(np.full(200, 0.3), 4) + 1.0
 
     def test_suite_has_no_violations(self):
         f = en.constant_potential(1.0)

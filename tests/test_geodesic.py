@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isqwave import geodesic
 from isqwave.geodesic import (
     ORIGIN_RADIUS,
     FlowState,
@@ -29,7 +30,6 @@ from isqwave.geodesic import (
     sec_envelope_bound,
     sphere_chart,
     trace_through_origin,
-    xi_hat_profile,
     zeta_norm_sq,
 )
 
@@ -163,6 +163,10 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_flow(radial_state(), circle(), -1.0, 1e-3)
 
+    def test_rejects_state_of_another_dimension(self):
+        with pytest.raises(ValueError, match="angles"):
+            integrate_flow(radial_state(), sphere_chart(), 1.0, 1e-3)
+
     def test_closed_form_secant_trajectory(self):
         g = circle()
         u0 = 0.5
@@ -226,9 +230,9 @@ class TestOriginStrike:
         # the radial point (0, 0) without the sign of xi_hat ever flipping
         g = circle()
         traj = integrate_flow(radial_state(), g, 50.0, 1e-2, "rescaled")
-        prof = xi_hat_profile(traj)
-        assert np.all(prof[:, 1] > 0)
-        assert prof[-1, 1] < 0.05
+        xi_hat = np.array([state.xi / state.tau for state in traj.states])
+        assert np.all(xi_hat > 0)
+        assert xi_hat[-1] < 0.05
         assert traj.states[-1].r < 0.05
         assert traj.states[-1].r == pytest.approx(1.0 / 51.0, rel=1e-6)
 
@@ -237,8 +241,8 @@ class TestBridgedTrace:
     def test_matches_straight_line_pullback(self):
         g = circle()
         traj = trace_through_origin(radial_state(), g, 2.0, 1e-3)
-        prof = xi_hat_profile(traj)
-        xi_err = max(abs(x - (1.0 - s)) for s, x in prof)
+        xi_err = max(abs(state.xi / state.tau - (1.0 - sv))
+                     for sv, state in zip(traj.s_values, traj.states))
         r_err = max(abs(s.r - abs(1.0 - sv))
                     for sv, s in zip(traj.s_values, traj.states))
         t_err = max(abs(s.t - sv)
@@ -250,8 +254,8 @@ class TestBridgedTrace:
     def test_xi_hat_flips_sign(self):
         g = circle()
         traj = trace_through_origin(radial_state(r=0.6, xi=0.6), g, 1.2, 1e-3)
-        prof = xi_hat_profile(traj)
-        assert prof[0, 1] > 0 > prof[-1, 1]
+        first, last = traj.states[0], traj.states[-1]
+        assert first.xi / first.tau > 0 > last.xi / last.tau
         assert np.all(np.diff(traj.s_values) > 0)
 
     def test_scales_with_tau(self):
@@ -259,9 +263,9 @@ class TestBridgedTrace:
         tau = 2.0
         traj = trace_through_origin(radial_state(xi=2.0, tau=tau), g,
                                     1.0, 1e-3)
-        prof = xi_hat_profile(traj)
         # strike at s = r0/tau = 0.5, then outgoing
-        err = max(abs(x - (1.0 - tau * s)) for s, x in prof)
+        err = max(abs(state.xi / state.tau - (1.0 - tau * sv))
+                  for sv, state in zip(traj.s_values, traj.states))
         assert err < 1e-6
 
     def test_requires_zero_angular_momentum(self):
@@ -306,6 +310,15 @@ class TestEnvelope:
         rmin = min(s.r for s in traj.states)
         assert rmin >= bound - 1e-6
         assert rmin <= bound + 1e-5
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_derivative_is_step_underflow(self):
+        # zeta^2 overflows in the very first field evaluation, the one that
+        # also sets the step size; that is a blow-up like any other stage's
+        s0 = FlowState(t=0.0, r=2.0, theta=(0.0,), tau=1.0, xi=1.0,
+                       zeta=(1e160,))
+        with pytest.raises(StepUnderflow, match="finite-parameter blow-up"):
+            integrate_flow(s0, circle(), 0.5, 0.01, "rescaled")
 
     def test_outgoing_rescaled_flow_blows_up_as_underflow(self):
         # past the secant pole the field diverges at finite parameter; the
@@ -377,3 +390,59 @@ def test_scaling_property_of_both_fields(xi, z, lam):
         assert w.r == pytest.approx(lam * v.r, rel=1e-12, abs=1e-12)
         assert w.xi == pytest.approx(lam ** 2 * v.xi, rel=1e-12, abs=1e-12)
         assert w.t == pytest.approx(lam * v.t, rel=1e-12, abs=1e-12)
+
+
+def _packed(state):
+    return [state.t, state.r, *state.theta, state.tau, state.xi, *state.zeta]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPackedField:
+    @pytest.mark.parametrize("chart, s0", [
+        (circle(), FlowState(t=0.0, r=1.3, theta=(0.4,), tau=1.2, xi=-0.3,
+                             zeta=(0.7,))),
+        (sphere_chart(), FlowState(t=0.0, r=1.5, theta=(1.0, 0.3), tau=1.1,
+                                   xi=0.2, zeta=(0.4, 0.7))),
+    ])
+    @pytest.mark.parametrize("system", ["full", "rescaled"])
+    def test_four_field_evaluations_per_substep(self, monkeypatch, chart, s0,
+                                                system):
+        # at step 1e-3 these flows never halve a step, so each of the 50
+        # macro steps is one RK4 substep: k1 (which also sets the step) and
+        # three more stages
+        calls = []
+        field = geodesic._field
+
+        def counted(*args):
+            calls.append(1)
+            return field(*args)
+
+        monkeypatch.setattr(geodesic, "_field", counted)
+        traj = integrate_flow(s0, chart, 0.05, 1e-3, system)
+        assert len(traj.states) == 51
+        assert len(calls) == 4 * 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sphere=st.booleans(),
+    r=st.floats(0.05, 3.0),
+    phi=st.floats(0.3, 2.8),
+    psi=st.floats(-3.0, 3.0),
+    tau=st.floats(0.5, 2.0),
+    xi=st.floats(-2.0, 2.0),
+    z1=st.floats(-1.5, 1.5),
+    z2=st.floats(-1.5, 1.5),
+)
+def test_wrappers_are_the_packed_field(sphere, r, phi, psi, tau, xi, z1, z2):
+    if sphere:
+        g, theta, zeta = sphere_chart(), (phi, psi), (z1, z2)
+    else:
+        g, theta, zeta = circle(), (phi,), (z1,)
+    s = FlowState(t=0.3, r=r, theta=theta, tau=tau, xi=xi, zeta=zeta)
+    for rhs, singular in ((hamilton_rhs, True), (rescaled_rhs, False)):
+        assert _bits(_packed(rhs(s, g))) == _bits(
+            geodesic._field(_packed(s), g, g.dim, singular))

@@ -9,12 +9,14 @@ in); its src/ is put first on PYTHONPATH. Each target runs REPEATS times
 in a row, in a fresh interpreter with TREE as its working directory:
 
     tier1         python -m pytest -q --continue-on-collection-errors
+                  --durations=10
     verify-quick  python -m isqwave.cli verify --quick --reproducible
     verify        python -m isqwave.cli verify --reproducible
 
 The first line printed is the machine; the second is one JSON object with
 each target's runs, their median and every run's exit code (and, for
-Tier-1, pytest's summary line).
+Tier-1, pytest's summary line and its ten slowest tests as
+[seconds, phase, test id], per run).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -31,10 +34,13 @@ from pathlib import Path
 
 REPEATS = 3
 TARGETS = {
-    "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
+    "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors",
+              "--durations=10"],
     "verify-quick": ["-m", "isqwave.cli", "verify", "--quick", "--reproducible"],
     "verify": ["-m", "isqwave.cli", "verify", "--reproducible"],
 }
+# one line of pytest's "slowest durations" table: "35.71s call     tests/..."
+DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S.*)$")
 
 
 def machine() -> dict:
@@ -58,8 +64,13 @@ def run(tree: Path, args: list) -> tuple:
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           text=True)
     elapsed = time.perf_counter() - t0
-    lines = proc.stdout.strip().splitlines()
-    return elapsed, proc.returncode, lines[-1] if lines else ""
+    return elapsed, proc.returncode, proc.stdout.strip().splitlines()
+
+
+def slowest(lines: list) -> list:
+    """The rows of pytest's durations table, as [seconds, phase, test id]."""
+    rows = (DURATION.match(line) for line in lines)
+    return [[float(m[1]), m[2], m[3]] for m in rows if m]
 
 
 def main(argv: list) -> int:
@@ -74,7 +85,9 @@ def main(argv: list) -> int:
                  "median_s": round(statistics.median(t for t, _, _ in runs), 3),
                  "exit": [code for _, code, _ in runs]}
         if name == "tier1":
-            entry["summary"] = [last for _, _, last in runs]
+            entry["summary"] = [lines[-1] if lines else ""
+                                for _, _, lines in runs]
+            entry["slowest"] = [slowest(lines) for _, _, lines in runs]
         out["targets"][name] = entry
     print(json.dumps(out))
     return 0 if all(c == 0 for e in out["targets"].values() for c in e["exit"]) else 1
