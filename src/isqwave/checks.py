@@ -11,10 +11,9 @@ import math
 
 import numpy as np
 
-from .energy import (CommutantParams, _sphere_gap_sq, _support_radii,
-                     alpha_star, constant_potential, gradient_norm_sq,
-                     hamilton_derivative_symbol, hardy_check, quadratic_form,
-                     random_suite, sample_states, sign_audit)
+from .energy import (CommutantParams, _norm_terms, _sphere_gap_sq, alpha_star,
+                     constant_potential, hamilton_derivative_symbol,
+                     hardy_check, random_suite, sample_states, sign_audit)
 from .geodesic import (FlowState, OriginReached, circle, integrate_flow,
                        sec_envelope_bound)
 from .hankel import (RadialField, RadialGrid, apply_radial_operator,
@@ -154,11 +153,11 @@ def norm_equivalence(suite, n: int, f0: float):
     that carry the suite's mass, as `energy.norm_equivalence_check` does."""
     lam = 0.5 * (n - 2)
     fpot = constant_potential(f0)
+    terms = [_norm_terms(tf, fpot, n) for tf in suite]
     delta_sq = _sphere_gap_sq(
-        fpot, np.concatenate([_support_radii(tf, n) for tf in suite]), n)
+        fpot, np.concatenate([radii for _, _, radii in terms]), n)
     sup = fpot.sup_bound
-    quots = [quadratic_form(tf, fpot, n) / gradient_norm_sq(tf, n)
-             for tf in suite]
+    quots = [q / grad for q, grad, _ in terms]
     return (delta_sq / (delta_sq + sup), 1.0 + sup / (lam * lam),
             min(quots), max(quots))
 

@@ -26,13 +26,12 @@ import numpy as np
 from . import __version__
 from .checks import (DEFAULT_SAMPLES, involution_defect, norm_equivalence,
                      verify_rows)
-from .energy import (CommutantParams, alpha_star, hamilton_derivative_symbol,
-                     hardy_check, is_audited, random_suite, sample_states,
-                     sharpness_profile)
+from .energy import (AuditScan, CommutantParams, alpha_star, hardy_check,
+                     random_suite, sharpness_profile)
 from .geodesic import FlowState, OriginReached, circle, integrate_flow
-from .kernel import (KernelPoint, Region, _default_cone_deltas,
-                     classify_region, cone_limits, is_mode_jump_nonzero,
-                     mode_kernel, mode_params)
+from .kernel import (KernelPoint, Region, classify_region, cone_sides,
+                     extrapolate_to_cone, is_mode_jump_nonzero, mode_kernel,
+                     mode_params)
 from .oracle import FDConfig, compare_kernel, solve_mode
 from .specfun import bessel_j, gamma, legendre_q_shifted
 
@@ -273,28 +272,18 @@ def cmd_front_scan(cfg: RunConfig, sink: CsvSink) -> int:
     r2, t = p["r2"], p["t"]
     r1c = t - r2
     _require(r1c > 0, "need t > r2 so the cone point r1 = t - r2 is positive")
-    deltas = p["deltas"]
-    if deltas is None:
-        deltas = tuple(_default_cone_deltas(m, r1c, r2, t))
-    eps = 0.5 * deltas[-1]
+    deltas, sides = cone_sides(m, r2, t, p["deltas"])
     sink.meta("nu", m.nu)
     sink.meta("r1_cone", r1c)
     sink.meta("deltas_used", deltas)
     sink.header(("delta", "side_ii", "side_iii", "difference", "extrapolated"))
-    rows = []
-    for k, d in enumerate(deltas):
-        side_iii = mode_kernel(m, KernelPoint(r1c - d, r2, t), eps_cone=eps)
-        side_ii = mode_kernel(m, KernelPoint(r1c + d, r2, t), eps_cone=eps)
-        diff = side_iii - side_ii
+    diffs = []
+    for d, (side_iii, side_ii) in zip(deltas, sides):
+        diffs.append(side_iii - side_ii)
         # extrapolation ladder: the fit through the offsets seen so far
-        if k == 0:
-            extrap = diff
-        else:
-            extrap = cone_limits(m, r2, t, list(deltas[:k + 1]))
-        rows.append((d, side_ii, side_iii, diff, extrap))
-    for row in rows:
-        sink.row(row)
-    sink.meta("extrapolated_jump", rows[-1][-1])
+        extrap = extrapolate_to_cone(deltas[:len(diffs)], diffs)
+        sink.row((d, side_ii, side_iii, diffs[-1], extrap))
+    sink.meta("extrapolated_jump", extrap)
     return EXIT_OK
 
 
@@ -440,27 +429,20 @@ def cmd_symbol_audit(cfg: RunConfig, sink: CsvSink) -> int:
         sink.meta("alpha_star", alpha)
     params = CommutantParams(C=p["c"], delta=p["delta"], alpha=alpha,
                              t0=p["t0"], tau0=p["tau0"])
-    g = circle()
-    states = sample_states(params, cfg.seed, p["count"], g=g)
-    worst = -math.inf
-    counts = {}
+    scan = AuditScan(params)
     sink.meta("alpha", alpha)
     sink.header(("t", "r", "theta", "tau", "xi", "zeta", "classification",
                  "value"))
-    for st in states:
-        value, label = hamilton_derivative_symbol(params, st, g=g)
-        counts[label] = counts.get(label, 0) + 1
-        if is_audited(params, st, label, g):
-            worst = max(worst, value)
+    for st, value, label, _ in scan.samples(cfg.seed, p["count"]):
         sink.row((st.t, st.r, st.theta[0], st.tau, st.xi, st.zeta[0],
                   label, value))
-    sink.meta("max_main_good", worst)
-    for label in sorted(counts):
+    sink.meta("max_main_good", scan.max_value)
+    for label in sorted(scan.counts):
         sink.meta("count_" + label.replace(" ", "_").replace("-", "_"),
-                  counts[label])
-    if worst > p["threshold"]:
-        print(f"symbol-audit: max H_p a = {worst:.6e} over the main and "
-              f"good-sign classes exceeds {p['threshold']:.1e}",
+                  scan.counts[label])
+    if scan.max_value > p["threshold"]:
+        print(f"symbol-audit: max H_p a = {scan.max_value:.6e} over the "
+              f"main and good-sign classes exceeds {p['threshold']:.1e}",
               file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geodesic import (FlowState, SphereMetric, characteristic_value, circle,
-                       integrate_flow, zeta_norm_sq)
+from .geodesic import (FlowState, SphereMetric, circle, integrate_flow,
+                       zeta_norm_sq)
 
 __all__ = [
     "EnergyError", "GridTolerance", "PositivityFailure",
@@ -35,7 +35,7 @@ __all__ = [
     "cutoff_chi", "cutoff_chi_tilde", "cutoff_chi_prime",
     "cutoff_chi_tilde_prime",
     "commutant_symbol", "classify_point", "hamilton_derivative_symbol",
-    "sample_states", "is_audited", "sign_audit", "alpha_star",
+    "sample_states", "AuditScan", "sign_audit", "alpha_star",
     "constant_potential", "radial_test_function", "sharpness_profile",
     "random_suite",
 ]
@@ -166,21 +166,19 @@ def _radial_integral(vals: np.ndarray, r: np.ndarray, what: str) -> float:
     return total
 
 
-def _l2_over_r2(tf: TestFunction, n: int, aw: np.ndarray) -> float:
-    vals = tf.r ** (n - 3) * (tf.u ** 2 @ aw)
-    return _radial_integral(vals, tf.r, "|u/r|^2")
-
-
 def _radial_energy(tf: TestFunction, n: int, aw: np.ndarray) -> float:
     vals = tf.r ** (n - 1) * (tf.du_r ** 2 @ aw)
     return _radial_integral(vals, tf.r, "|du/dr|^2")
 
 
-def gradient_norm_sq(tf: TestFunction, n: int) -> float:
-    """Full gradient energy: radial part plus the r^{-2}-weighted angular part."""
-    aw = _weights_for(tf, n)
+def _gradient_energy(tf: TestFunction, n: int, aw: np.ndarray) -> float:
     ang = tf.r ** (n - 3) * (tf.du_phi ** 2 @ aw)
     return _radial_energy(tf, n, aw) + _radial_integral(ang, tf.r, "angular energy")
+
+
+def gradient_norm_sq(tf: TestFunction, n: int) -> float:
+    """Full gradient energy: radial part plus the r^{-2}-weighted angular part."""
+    return _gradient_energy(tf, n, _weights_for(tf, n))
 
 
 def hardy_check(tf: TestFunction, n: int):
@@ -196,24 +194,29 @@ def hardy_check(tf: TestFunction, n: int):
     if tf.origin_order < 1:
         raise ValueError("Hardy check needs u vanishing at the origin")
     aw = _weights_for(tf, n)
-    lhs = _l2_over_r2(tf, n, aw)
+    lhs = _radial_integral(tf.r ** (n - 3) * (tf.u ** 2 @ aw), tf.r, "|u/r|^2")
     rhs = _radial_energy(tf, n, aw)
     if rhs <= 0.0:
         raise ValueError("zero test function")
     return lhs, rhs, lhs / rhs
 
 
-def quadratic_form(tf: TestFunction, f: PotentialProfile, n: int) -> float:
-    """Q(u): gradient energy plus the r^{-2}-weighted potential term."""
-    aw = _weights_for(tf, n)
+def _form_and_gradient(tf: TestFunction, f: PotentialProfile, n: int,
+                       aw: np.ndarray):
+    # (Q(u), gradient energy) on the angular rule aw
     fvals = np.asarray(f.func(tf.r[:, None], tf.phi[None, :]), dtype=float)
     if fvals.shape != tf.u.shape:
         fvals = np.broadcast_to(fvals, tf.u.shape)
     if np.nanmax(fvals) > f.sup_bound + 1e-12 or np.nanmin(fvals) < f.lower_bound - 1e-12:
         raise ValueError("potential values escape the declared bounds")
-    grad = gradient_norm_sq(tf, n)
+    grad = _gradient_energy(tf, n, aw)
     pot = tf.r ** (n - 3) * ((fvals * tf.u ** 2) @ aw)
-    return grad + _radial_integral(pot, tf.r, "potential term")
+    return grad + _radial_integral(pot, tf.r, "potential term"), grad
+
+
+def quadratic_form(tf: TestFunction, f: PotentialProfile, n: int) -> float:
+    """Q(u): gradient energy plus the r^{-2}-weighted potential term."""
+    return _form_and_gradient(tf, f, n, _weights_for(tf, n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +252,11 @@ def sphere_min_eigenvalue(f, n: int, m: int = 200) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-def _support_radii(tf: TestFunction, n: int, max_radii: int = 64) -> np.ndarray:
+def _support_radii(tf: TestFunction, n: int, max_radii: int = 64,
+                   aw: Optional[np.ndarray] = None) -> np.ndarray:
     """Radii of the rows carrying u's mass, at most max_radii of them,
-    evenly picked."""
-    row_mass = tf.u ** 2 @ _weights_for(tf, n)
+    evenly picked; aw is the angular rule, built here when not given."""
+    row_mass = tf.u ** 2 @ (_weights_for(tf, n) if aw is None else aw)
     supported = np.nonzero(row_mass > 1e-12 * row_mass.max())[0]
     if supported.size == 0:
         raise ValueError("zero test function")
@@ -279,6 +283,14 @@ def _sphere_gap_sq(f: PotentialProfile, radii, n: int, m: int = 200) -> float:
                for row in distinct.values()) + lam * lam
 
 
+def _norm_terms(tf: TestFunction, f: PotentialProfile, n: int,
+                max_radii: int = 64):
+    """(Q(u), gradient energy, support radii) on one angular rule."""
+    aw = _weights_for(tf, n)
+    return (*_form_and_gradient(tf, f, n, aw),
+            _support_radii(tf, n, max_radii, aw))
+
+
 def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
                            eig_m: int = 200, max_radii: int = 64):
     """Two-sided comparison of Q(u) with the gradient energy.
@@ -290,9 +302,8 @@ def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
     c1 = delta^2 / (delta^2 + sup|f|).  Returns (c1_ok, c2_ok, delta_est).
     """
     lam = (n - 2) / 2.0
-    grad = gradient_norm_sq(tf, n)
-    q = quadratic_form(tf, f, n)
-    delta_sq = _sphere_gap_sq(f, _support_radii(tf, n, max_radii), n, eig_m)
+    q, grad, radii = _norm_terms(tf, f, n, max_radii)
+    delta_sq = _sphere_gap_sq(f, radii, n, eig_m)
     if delta_sq <= 0.0:
         raise PositivityFailure(
             f"sphere operator minimum eigenvalue {delta_sq:.3e} <= 0")
@@ -409,13 +420,14 @@ class CommutantParams:
 
 
 def _symbol_coordinates(p: CommutantParams, point: FlowState, g: SphereMetric):
+    # xi_hat, |zeta|_k^2, sigma and the two step-cutoff arguments
     tau = point.tau
     xh = point.xi / tau
-    zh2 = zeta_norm_sq(point, g) / tau ** 2
-    sig = point.r ** 2 - xh ** 2 - zh2
+    zq = zeta_norm_sq(point, g)
+    sig = point.r ** 2 - xh ** 2 - zq / tau ** 2
     yr = -point.r ** 2 + p.alpha * xh + 2.0 * p.delta
     yt = -(point.t - p.t0) ** 2 + p.alpha * xh + 2.0 * p.delta
-    return xh, zh2, sig, yr, yt
+    return xh, zq, sig, yr, yt
 
 
 def commutant_symbol(p: CommutantParams, point: FlowState,
@@ -432,16 +444,46 @@ def commutant_symbol(p: CommutantParams, point: FlowState,
     if point.tau <= p.tau0:
         return 0.0
     xh, _, sig, yr, yt = _symbol_coordinates(p, point, g)
-    if abs(xh) >= 2.0 * p.delta or abs(sig) >= 2.0 * p.delta:
+    if _outside_support(p, xh, sig, yr, yt):
         return 0.0
-    if yr <= 0.0 or yt <= 0.0:
-        return 0.0
-    return (math.exp(p.C * xh)
-            * cutoff_chi(xh / p.delta)
-            * cutoff_chi_tilde(yr)
-            * cutoff_chi_tilde(yt)
-            * cutoff_chi_tilde(point.tau - p.tau0)
-            * cutoff_chi(sig / p.delta))
+    return math.prod(_cutoffs(p, point.tau, xh, sig, yr, yt),
+                     start=math.exp(p.C * xh))
+
+
+def _outside_support(p: CommutantParams, xh: float, sig: float, yr: float,
+                     yt: float) -> bool:
+    # commutant_symbol's guards past the tau cutoff, in its order
+    return (abs(xh) >= 2.0 * p.delta or abs(sig) >= 2.0 * p.delta
+            or yr <= 0.0 or yt <= 0.0)
+
+
+def _cutoffs(p: CommutantParams, tau: float, xh: float, sig: float,
+             yr: float, yt: float) -> tuple:
+    # the five cutoff factors of a; it is exp(C xi_hat) times their product
+    return (cutoff_chi(xh / p.delta), cutoff_chi_tilde(yr),
+            cutoff_chi_tilde(yt), cutoff_chi_tilde(tau - p.tau0),
+            cutoff_chi(sig / p.delta))
+
+
+def _label(p: CommutantParams, point: FlowState, xh: float, zq: float,
+           sig: float, yr: float, yt: float) -> str:
+    # classify_point at tau > 0, from the symbol coordinates
+    x1 = xh / p.delta
+    e1 = 1.0 < x1 < 2.0
+    e2 = 1.0 < abs(sig / p.delta) < 2.0
+    good_xi = -2.0 < x1 < -1.0
+    edge_step = (0.0 < yr < 1.0) or (0.0 < yt < 1.0)
+    # characteristic_value(point, g) < delta
+    dominated = point.tau ** 2 - (point.xi ** 2 + zq) / point.r ** 2 < p.delta
+    if (e1 and e2) or (edge_step and not dominated):
+        return "mixed"
+    if e1:
+        return "hypothesis e1"
+    if e2:
+        return "elliptic e2"
+    if good_xi or edge_step:
+        return "good-sign g"
+    return "main b2"
 
 
 def classify_point(p: CommutantParams, point: FlowState,
@@ -465,49 +507,32 @@ def classify_point(p: CommutantParams, point: FlowState,
         raise ValueError("classification needs r > 0")
     if point.tau <= 0.0:
         return "main b2"
-    xh, _, sig, yr, yt = _symbol_coordinates(p, point, g)
-    x1 = xh / p.delta
-    s1 = sig / p.delta
-    e1 = 1.0 < x1 < 2.0
-    e2 = 1.0 < abs(s1) < 2.0
-    good_xi = -2.0 < x1 < -1.0
-    edge_step = (0.0 < yr < 1.0) or (0.0 < yt < 1.0)
-    dominated = characteristic_value(point, g) < p.delta
-    if e1 and e2:
-        return "mixed"
-    if edge_step and not dominated:
-        return "mixed"
-    if e1:
-        return "hypothesis e1"
-    if e2:
-        return "elliptic e2"
-    if good_xi or edge_step:
-        return "good-sign g"
-    return "main b2"
+    return _label(p, point, *_symbol_coordinates(p, point, g))
 
 
-def _hamilton_analytic(p: CommutantParams, point: FlowState,
-                       g: SphereMetric) -> float:
+def _evaluate(p: CommutantParams, point: FlowState, g: SphereMetric):
+    """(a, H_p a, label) at a point with r > 0 in one pass: the values of
+    commutant_symbol (0 at tau <= 0), the analytic derivative and
+    classify_point, with the float operations of each."""
     tau = point.tau
     if tau <= 0.0:
         # the symbol vanishes identically on this sheet (tau step cutoff)
-        return 0.0
-    xh, _, sig, yr, yt = _symbol_coordinates(p, point, g)
+        return 0.0, 0.0, "main b2"
+    xh, zq, sig, yr, yt = coords = _symbol_coordinates(p, point, g)
+    label = _label(p, point, *coords)
     x1 = xh / p.delta
     if abs(x1) >= 2.0:
-        return 0.0
-    r2 = point.r ** 2
-    zq = zeta_norm_sq(point, g)
-    vals = (cutoff_chi(x1),
-            cutoff_chi_tilde(yr),
-            cutoff_chi_tilde(yt),
-            cutoff_chi_tilde(tau - p.tau0),
-            cutoff_chi(sig / p.delta))
+        return 0.0, 0.0, label
+    vals = _cutoffs(p, tau, xh, sig, yr, yt)
+    lever = math.exp(p.C * xh)
+    a = 0.0 if tau <= p.tau0 or _outside_support(p, xh, sig, yr, yt) \
+        else math.prod(vals, start=lever)
     zeros = [i for i, v in enumerate(vals) if v == 0.0]
     if len(zeros) >= 2:
-        return 0.0
+        return a, 0.0, label
     # flow rates in the t' = tau parametrization; tau' = 0 so the tau factor
     # never differentiates, and |zeta|_k^2 is conserved so sigma' closes
+    r2 = point.r ** 2
     xh_dot = -(point.xi ** 2 + zq) / (r2 * tau)
     sig_dot = -2.0 * point.xi * sig / r2
     rates = (cutoff_chi_prime(x1) / p.delta * xh_dot,
@@ -516,29 +541,20 @@ def _hamilton_analytic(p: CommutantParams, point: FlowState,
              * (-2.0 * (point.t - p.t0) * tau + p.alpha * xh_dot),
              0.0,
              cutoff_chi_prime(sig / p.delta) / p.delta * sig_dot)
-    lever = math.exp(p.C * xh)
     if len(zeros) == 1:
         j = zeros[0]
-        other = 1.0
-        for i, v in enumerate(vals):
-            if i != j:
-                other *= v
-        return lever * rates[j] * other
-    full = 1.0
-    for v in vals:
-        full *= v
+        return a, lever * rates[j] * math.prod(vals[:j] + vals[j + 1:]), label
+    full = math.prod(vals)
     total = p.C * xh_dot * full
     for v, rate in zip(vals, rates):
         total += rate * (full / v)
-    return lever * total
+    return a, lever * total, label
 
 
 def _one_sided_rate(p: CommutantParams, point: FlowState, g: SphereMetric,
                     h: float) -> float:
     traj = integrate_flow(point, g, 2.0 * h, h, system="rescaled")
-    a0 = commutant_symbol(p, traj.states[0], g)
-    a1 = commutant_symbol(p, traj.states[1], g)
-    a2 = commutant_symbol(p, traj.states[2], g)
+    a0, a1, a2 = (commutant_symbol(p, st, g) for st in traj.states[:3])
     return (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * h)
 
 
@@ -568,16 +584,13 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
     g = circle() if g is None else g
     if point.r <= 0.0:
         raise ValueError("Hamilton derivative needs r > 0")
-    label = classify_point(p, point, g)
     if method == "analytic":
-        value = _hamilton_analytic(p, point, g)
-    elif method == "fd":
-        if fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
-        value = _hamilton_fd(p, point, g, fd_step)
-    else:
+        return _evaluate(p, point, g)[1:]
+    if method != "fd":
         raise ValueError(f"unknown method {method!r}")
-    return value, label
+    if fd_step <= 0.0:
+        raise ValueError("fd_step must be positive")
+    return _hamilton_fd(p, point, g, fd_step), classify_point(p, point, g)
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +652,28 @@ class AuditResult:
     counts: dict
 
 
-def is_audited(p: CommutantParams, point: FlowState, label: str,
-               g: Optional[SphereMetric] = None) -> bool:
-    """Whether the sign audit holds a point to H_p a <= 0: a "main b2" or
-    "good-sign g" label and a strictly positive symbol value."""
-    return (label in ("main b2", "good-sign g")
-            and commutant_symbol(p, point, g) > 0.0)
+class AuditScan:
+    """Sign-audit samples and their running tally: samples scanned, class
+    counts, audited count, largest audited H_p a."""
+
+    def __init__(self, p: CommutantParams, g: Optional[SphereMetric] = None):
+        self.p, self.g = p, circle() if g is None else g
+        self.scanned, self.kept, self.max_value = 0, 0, -math.inf
+        self.counts: dict = {}
+
+    def samples(self, start: int, count: int):
+        """Yield and tally (state, H_p a, label, audited) per Halton sample
+        start + 1 .. start + count; audited marks the points held to
+        H_p a <= 0: label "main b2" or "good-sign g", positive symbol."""
+        for st in sample_states(self.p, start, count, self.g):
+            a, value, label = _evaluate(self.p, st, self.g)
+            audited = label in ("main b2", "good-sign g") and a > 0.0
+            self.scanned += 1
+            self.counts[label] = self.counts.get(label, 0) + 1
+            if audited:
+                self.kept += 1
+                self.max_value = max(self.max_value, value)
+            yield st, value, label, audited
 
 
 def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
@@ -657,27 +686,15 @@ def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
     the points where the derivative must be nonpositive once alpha is
     large enough.  Other classes are tallied but carry no sign claim.
     """
-    g = circle() if g is None else g
-    kept = 0
-    scanned = 0
-    worst = -math.inf
-    counts: dict = {}
-    start = 0
-    while kept < min_kept:
-        if scanned >= max_scan:
-            raise EnergyError(
-                f"audit kept only {kept} of {scanned} samples; box too sparse")
-        for st in sample_states(p, start, batch, g):
-            value, label = hamilton_derivative_symbol(p, st, g=g)
-            counts[label] = counts.get(label, 0) + 1
-            if is_audited(p, st, label, g):
-                kept += 1
-                if value > worst:
-                    worst = value
-        start += batch
-        scanned += batch
-    return AuditResult(alpha=p.alpha, kept=kept, scanned=scanned,
-                       max_value=worst, counts=counts)
+    scan = AuditScan(p, g)
+    while scan.kept < min_kept:
+        if scan.scanned >= max_scan:
+            raise EnergyError(f"audit kept only {scan.kept} of "
+                              f"{scan.scanned} samples; box too sparse")
+        for _ in scan.samples(scan.scanned, batch):
+            pass
+    return AuditResult(alpha=p.alpha, kept=scan.kept, scanned=scan.scanned,
+                       max_value=scan.max_value, counts=scan.counts)
 
 
 def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
@@ -690,7 +707,6 @@ def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
     threshold, then verifies on a denser audit, nudging alpha up if the
     denser scan finds a straggler.  Deterministic: the samples are Halton.
     """
-    g = circle() if g is None else g
 
     def passes(alpha: float, kept: int) -> bool:
         p = CommutantParams(C=C, delta=delta, alpha=alpha, t0=t0, tau0=tau0)

@@ -164,8 +164,7 @@ def apply_radial_operator(field: RadialField, mu: float) -> RadialField:
 
     Interior points get centered three-point stencils adapted to the
     non-uniform spacing; the two boundary points reuse their neighbor's
-    one-sided stencil and are only first-order accurate there (see
-    boundary_mask)."""
+    one-sided stencil and are only first-order accurate there."""
     r = field.grid.points
     u = field.values
     n = len(r)
@@ -181,13 +180,6 @@ def apply_radial_operator(field: RadialField, mu: float) -> RadialField:
     out[0] = out[1]
     out[-1] = out[-2]
     return RadialField(field.grid, out)
-
-
-def boundary_mask(grid: RadialGrid) -> np.ndarray:
-    """True where apply_radial_operator falls back to one-sided differences."""
-    mask = np.zeros(len(grid), dtype=bool)
-    mask[0] = mask[-1] = True
-    return mask
 
 
 def verify_involution(field: RadialField, order) -> float:

@@ -194,49 +194,54 @@ def is_mode_jump_nonzero(n: int, a: float) -> bool:
     return abs(nu - nearest) > 1e-12 * (1.0 + nu)
 
 
-def _default_cone_deltas(m: ModeParams, r1c: float, r2: float, t: float) -> list:
-    # Keep offsets well inside the asymptotic window delta << r1 r2 / (2 t nu^2)
-    # where the one-sided expansion in sqrt(delta) holds.
-    scale = 0.04 * (r1c * r2) / (2.0 * t * (1.0 + m.nu * m.nu))
-    return [scale * 0.5 ** k for k in range(6)]
-
-
-def cone_limits(m: ModeParams, r2: float, t: float,
-                delta_list: list | None = None) -> float:
-    """One-sided limit difference of the kernel across the outer cone.
-
-    Evaluates mode_kernel at r1 = (t - r2) -/+ delta (region III side first)
-    and extrapolates the difference to delta = 0. The one-sided error is a
-    series in sqrt(delta) with delta*log(delta) terms, so the extrapolation
-    fits {1, x, x^2, x^2 log x, x^3, x^3 log x} in x = sqrt(delta) (truncated
-    to the number of offsets supplied) and reports the constant term.
-    """
+def cone_sides(m: ModeParams, r2: float, t: float,
+               delta_list: list | None = None):
+    """The offsets (delta_list, or the default ladder; positive, strictly
+    decreasing, below t - r2) and, per offset, the kernel at
+    r1 = (t - r2) -/+ delta: a (region III, region II) pair."""
     r1c = t - r2
     if r1c <= 0:
         raise ValueError("need t > r2 so the cone point r1 = t - r2 is positive")
     if delta_list is None:
-        delta_list = _default_cone_deltas(m, r1c, r2, t)
+        # offsets well inside the asymptotic window delta << r1 r2 / (2 t nu^2)
+        # where the one-sided expansion in sqrt(delta) holds
+        scale = 0.04 * (r1c * r2) / (2.0 * t * (1.0 + m.nu * m.nu))
+        delta_list = [scale * 0.5 ** k for k in range(6)]
     deltas = [float(d) for d in delta_list]
-    if len(deltas) < 2 or any(d <= 0 for d in deltas):
-        raise ValueError("delta_list must hold at least two positive offsets")
+    if not deltas or any(d <= 0 for d in deltas):
+        raise ValueError("delta_list must hold positive offsets")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta_list must be strictly decreasing")
     if deltas[0] >= r1c:
         raise ValueError("largest offset crosses r1 = 0")
-
     eps = 0.5 * deltas[-1]
-    diffs = np.empty(len(deltas))
-    for i, d in enumerate(deltas):
-        iii_side = mode_kernel(m, KernelPoint(r1c - d, r2, t), eps_cone=eps)
-        ii_side = mode_kernel(m, KernelPoint(r1c + d, r2, t), eps_cone=eps)
-        diffs[i] = iii_side - ii_side
+    return deltas, [(mode_kernel(m, KernelPoint(r1c - d, r2, t), eps_cone=eps),
+                     mode_kernel(m, KernelPoint(r1c + d, r2, t), eps_cone=eps))
+                    for d in deltas]
 
+
+def extrapolate_to_cone(deltas: list, diffs) -> float:
+    """Constant term of the fit of the one-sided differences diffs at the
+    offsets deltas (one offset: the difference itself).  Their error is a
+    series in sqrt(delta) with delta*log(delta) terms, so the fit is
+    {1, x, x^2, x^2 log x, x^3, x^3 log x} in x = sqrt(delta), truncated to
+    the number of offsets."""
     x = np.sqrt(deltas)
     lx = np.log(x)
     columns = [np.ones_like(x), x, x ** 2, x ** 2 * lx, x ** 3, x ** 3 * lx]
     basis = np.stack(columns[:len(deltas)], axis=1)
     coeff = np.linalg.solve(basis, diffs)
     return float(coeff[0])
+
+
+def cone_limits(m: ModeParams, r2: float, t: float,
+                delta_list: list | None = None) -> float:
+    """One-sided limit difference of the kernel across the outer cone: the
+    cone_sides differences (III minus II) extrapolated to delta = 0."""
+    if delta_list is not None and len(delta_list) < 2:
+        raise ValueError("delta_list must hold at least two offsets")
+    deltas, sides = cone_sides(m, r2, t, delta_list)
+    return extrapolate_to_cone(deltas, [iii - ii for iii, ii in sides])
 
 
 def synthesize_kernel(a: float, p: KernelPoint, dtheta: float,

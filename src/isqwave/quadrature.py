@@ -166,6 +166,10 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadRes
     of f each, until a value is within tol of the one before (the error estimate); if none
     settles, integrate_adaptive runs on f at scalars and its errors propagate.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if b < a:
+        raise ValueError("need a <= b")
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     evals, prev = 0, math.nan
     for n in GAUSS_LADDER:

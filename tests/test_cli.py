@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from isqwave import kernel
 from isqwave.cli import EXIT_CHECK, EXIT_OK, EXIT_USAGE, main
 
 # columns that hold labels rather than numbers
@@ -131,6 +132,28 @@ class TestFrontScan:
         meta, _, rows = parse_csv(out)
         assert len(rows) == 3
         assert meta["deltas_used"] == "0.008;0.004;0.002"
+
+    def test_ladder_is_cone_limits_on_each_prefix(self, capsys, monkeypatch):
+        # one kernel pair per offset; every extrapolated entry is the fit
+        # cone_limits makes through the offsets up to its row
+        calls = []
+        evaluate = kernel.mode_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "mode_kernel", counted)
+        code, out, _ = run_cli(capsys, "front-scan", "--reproducible")
+        assert code == EXIT_OK
+        meta, header, rows = parse_csv(out)
+        assert len(calls) == 2 * len(rows) == 12
+        deltas = [float(d) for d in meta["deltas_used"].split(";")]
+        m = kernel.mode_params(0, 0.25)
+        column = header.index("extrapolated")
+        for k in range(1, len(rows)):
+            assert float(rows[k][column]) == \
+                kernel.cone_limits(m, 1.0, 2.0, deltas[:k + 1])
 
 
 class TestModeTable:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import mpmath as mp
 
 from isqwave import energy as en
-from isqwave.geodesic import FlowState
+from isqwave.geodesic import FlowState, circle
 
 mp.mp.dps = 30
 
@@ -495,3 +495,64 @@ class TestAudit:
         assert 1.5 < astar < 6.0
         res = en.sign_audit(params(alpha=astar), min_kept=2500)
         assert res.max_value <= 1e-12
+
+    def test_audit_pinned_at_alpha_four(self):
+        res = en.sign_audit(params(alpha=4.0), min_kept=1500)
+        assert (res.scanned, res.kept) == (8192, 1941)
+        assert res.max_value.hex() == "-0x1.79108f7a89018p-933"
+        assert res.counts == {"mixed": 3098, "hypothesis e1": 1437,
+                              "good-sign g": 1763, "elliptic e2": 1705,
+                              "main b2": 189}
+
+    def test_one_zeta_norm_per_scanned_sample(self, monkeypatch):
+        calls = []
+        norm = en.zeta_norm_sq
+
+        def counted(*args):
+            calls.append(1)
+            return norm(*args)
+
+        monkeypatch.setattr(en, "zeta_norm_sq", counted)
+        res = en.sign_audit(params(alpha=4.0), min_kept=100, batch=256)
+        assert len(calls) == res.scanned
+
+
+AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
+
+
+class TestSharedEvaluation:
+    """The audit evaluates each sample once; its symbol value, derivative,
+    class and audited flag must equal, bit for bit, the public functions
+    composed the way the audit rule reads."""
+
+    @pytest.mark.parametrize("alpha", AUDIT_ALPHAS)
+    def test_audit_samples_match_the_public_composition(self, alpha):
+        p = params(alpha=alpha)
+        scan = en.AuditScan(p)
+        kept, worst = 0, -math.inf
+        for pt, value, label, audited in scan.samples(0, 600):
+            want, want_label = en.hamilton_derivative_symbol(p, pt)
+            assert value.hex() == want.hex()
+            assert label == want_label == en.classify_point(p, pt)
+            assert audited == (want_label in ("main b2", "good-sign g")
+                               and en.commutant_symbol(p, pt) > 0.0)
+            if audited:
+                kept += 1
+                worst = max(worst, want)
+        assert (scan.kept, scan.max_value.hex()) == (kept, worst.hex())
+        assert sum(scan.counts.values()) == 600
+
+    @given(xi_hat=st.floats(-0.8, 0.8), zeta_hat=st.floats(0.0, 1.5),
+           r=st.floats(0.01, 1.5), t=st.floats(-1.5, 1.5),
+           tau=st.one_of(st.floats(-3.0, -0.05), st.floats(0.05, 3.0)),
+           alpha=st.sampled_from(AUDIT_ALPHAS))
+    @settings(max_examples=200, deadline=None)
+    def test_evaluation_matches_each_definition(self, xi_hat, zeta_hat, r, t,
+                                                tau, alpha):
+        p = params(alpha=alpha)
+        pt = state(r=r, xi_hat=xi_hat, zeta_hat=zeta_hat, t=t, tau=tau)
+        a, value, label = en._evaluate(p, pt, circle())
+        assert a.hex() == en.commutant_symbol(p, pt).hex()
+        want, want_label = en.hamilton_derivative_symbol(p, pt)
+        assert value.hex() == want.hex()
+        assert label == want_label == en.classify_point(p, pt)

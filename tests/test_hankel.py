@@ -19,7 +19,6 @@ from isqwave.hankel import (
     RadialGrid,
     TailTooFat,
     apply_radial_operator,
-    boundary_mask,
     graded_grid,
     hankel_transform,
     norm_r_dr,
@@ -131,8 +130,7 @@ class TestRadialOperator:
         nu = 2.0
         lu = apply_radial_operator(u, nu)
         exact = (4.0 - nu ** 2 - 6.0 * r ** 2 + r ** 4) * np.exp(-r ** 2 / 2)
-        interior = ~boundary_mask(g)
-        err = np.max(np.abs(lu.values[interior] - exact[interior]))
+        err = np.max(np.abs(lu.values[1:-1] - exact[1:-1]))
         assert err < 5e-3
 
     def test_order_two_convergence(self):
@@ -144,8 +142,7 @@ class TestRadialOperator:
             u = RadialField(g, r ** 2 * np.exp(-r ** 2 / 2))
             lu = apply_radial_operator(u, nu)
             exact = (4.0 - nu ** 2 - 6.0 * r ** 2 + r ** 4) * np.exp(-r ** 2 / 2)
-            interior = ~boundary_mask(g)
-            errs.append(np.max(np.abs(lu.values[interior] - exact[interior])))
+            errs.append(np.max(np.abs(lu.values[1:-1] - exact[1:-1])))
         order = math.log2(errs[0] / errs[1])
         assert order > 1.5
 
@@ -155,11 +152,6 @@ class TestRadialOperator:
             pytest.skip("grading produced enough points")
         with pytest.raises(GridTooCoarse):
             apply_radial_operator(RadialField(g, np.ones(len(g))), 0.0)
-
-    def test_boundary_mask_shape(self):
-        g = graded_grid(R_MAX, 50)
-        m = boundary_mask(g)
-        assert m[0] and m[-1] and not m[1:-1].any()
 
 
 class TestEigenRelation:

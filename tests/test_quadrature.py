@@ -212,3 +212,14 @@ def test_no_rule_built_at_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.split() == ["0", "False"]
+
+
+def test_smooth_rejects_bad_input():
+    # as integrate_adaptive does: a reversed interval would flip the sign,
+    # and with tol = 0 two equal ladder values would still "settle"
+    with pytest.raises(ValueError):
+        integrate_smooth(np.cos, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        integrate_smooth(np.cos, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        integrate_smooth(np.cos, 0.0, 1.0, -1e-10)
