@@ -25,7 +25,7 @@ from .geodesic import (FlowState, SphereMetric, circle, integrate_flow,
                        zeta_norm_sq)
 
 __all__ = [
-    "EnergyError", "GridTolerance", "PositivityFailure",
+    "EnergyError", "GridTolerance", "PositivityFailure", "TauUnderflow",
     "TestFunction", "PotentialProfile", "CommutantParams", "AuditResult",
     "polar_quadrature", "angular_weights",
     "hardy_check", "quadratic_form", "gradient_norm_sq",
@@ -51,6 +51,10 @@ class GridTolerance(EnergyError):
 
 class PositivityFailure(EnergyError):
     """Sphere operator has a nonpositive eigenvalue: potential too negative."""
+
+
+class TauUnderflow(EnergyError):
+    """tau ** 2 underflows to zero, so |zeta / tau|^2 cannot be formed."""
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +426,12 @@ class CommutantParams:
 def _symbol_coordinates(p: CommutantParams, point: FlowState, g: SphereMetric):
     # xi_hat, |zeta|_k^2, sigma and the two step-cutoff arguments
     tau = point.tau
+    tau_sq = tau ** 2
+    if tau_sq == 0.0:
+        raise TauUnderflow(f"tau={tau!r} squares to zero")
     xh = point.xi / tau
     zq = zeta_norm_sq(point, g)
-    sig = point.r ** 2 - xh ** 2 - zq / tau ** 2
+    sig = point.r ** 2 - xh ** 2 - zq / tau_sq
     yr = -point.r ** 2 + p.alpha * xh + 2.0 * p.delta
     yt = -(point.t - p.t0) ** 2 + p.alpha * xh + 2.0 * p.delta
     return xh, zq, sig, yr, yt

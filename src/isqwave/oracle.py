@@ -2,15 +2,17 @@
 
 Solves u_tt = u_rr + u_r/r - nu^2 u/r^2 with zero initial displacement and a
 mollified delta initial velocity, on a staggered grid that never touches
-r = 0. The solver, `solve_mode`, uses nothing from the kernel module. The
-comparison harness does: `mollified_kernel` and `compare_kernel` evaluate
-the analytic mode kernel, and `leakage_ratio` uses its region
-classification. The harness is the only meeting point of the two code
-paths.
+r = 0. The solver, `solve_mode`, uses nothing from the kernel module; it
+steps on buffers made once per solve and keeps its last (config, source)
+field, read-only, so a compare and a leakage check on one problem solve it
+once. The comparison harness does: `mollified_kernel` and `compare_kernel`
+evaluate the analytic mode kernel, and `leakage_ratio` uses its region
+classification. The harness is the only meeting point of the two code paths.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +49,8 @@ class FDConfig:
     nu: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("all config fields must be finite")
         if min(self.r_max, self.dr, self.dt, self.T, self.mollifier_width) <= 0:
             raise ValueError("all config lengths and times must be > 0")
         if self.nu < 0:
@@ -64,6 +68,10 @@ class ModeField:
     energies: np.ndarray        # aligned with times[1:-1] stored instants
     config: FDConfig
     r0: float
+
+    def __post_init__(self):
+        for a in (self.r, self.times, self.slices, self.energies):
+            a.setflags(write=False)     # one solve may be shared by callers
 
     def peak(self) -> float:
         return float(np.max(np.abs(self.slices)))
@@ -85,19 +93,29 @@ class ModeField:
         return float(u * row[ir - 1] + (1.0 - u) * row[ir])
 
 
-def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, nu: float) -> np.ndarray:
+def _stencil(r: np.ndarray, dr: float, nu: float):
     # conservative flux form (1/r)(r u')' - nu^2 u / r^2 on the staggered
     # grid r_j = (j + 1/2) dr; the face radius at j - 1/2 is j dr, so the
     # innermost face sits exactly at r = 0 where the flux r u' of any
     # regular mode solution (u ~ r^nu) vanishes: that is the origin closure.
-    n = len(u)
-    faces = np.arange(n + 1) * dr          # r at cell faces
-    flux = np.zeros(n + 1)
-    flux[1:-1] = faces[1:-1] * (u[1:] - u[:-1]) / dr
-    flux[-1] = faces[-1] * (0.0 - u[-1]) / dr   # hard wall at r_max
-    out = (flux[1:] - flux[:-1]) / (r * dr)
-    out -= nu * nu * u / (r * r)
-    return out
+    # laplacian(u, out) rounds in the written order, on buffers made once.
+    faces = np.arange(len(r) + 1) * dr     # r at cell faces
+    inner, wall = faces[1:-1], faces[-1]
+    flux = np.zeros(len(r) + 1)            # flux[0] stays 0: the face at r = 0
+    f, tmp = flux[1:-1], np.empty_like(r)
+    r_dr, r_sq, nu_sq = r * dr, r * r, nu * nu
+
+    def laplacian(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.subtract(u[1:], u[:-1], out=f)
+        np.multiply(inner, f, out=f)
+        np.divide(f, dr, out=f)
+        flux[-1] = wall * (0.0 - u[-1]) / dr   # hard wall at r_max
+        np.subtract(flux[1:], flux[:-1], out=out)
+        np.divide(out, r_dr, out=out)
+        np.multiply(nu_sq, u, out=tmp)
+        np.divide(tmp, r_sq, out=tmp)
+        return np.subtract(out, tmp, out=out)
+    return laplacian
 
 
 def _mollifier(r: np.ndarray, r0: float, sigma: float, dr: float) -> np.ndarray:
@@ -114,6 +132,9 @@ def solve_mode(cfg: FDConfig, r0: float) -> ModeField:
     mode-dependent bound 0.95 dr / sqrt(1 + nu^2) (the inverse-square term
     tightens stability near the axis). Raises BoundaryContamination if the
     outgoing front plus mollifier support would reach r_max before T.
+
+    The guards run on every call. The last (cfg, r0) solved is remembered,
+    so a repeated call returns the same ModeField, whose arrays are read-only.
     """
     if cfg.dt > CFL_GRID_FACTOR * cfg.dr:
         raise CFLViolation(f"dt={cfg.dt} exceeds {CFL_GRID_FACTOR} dr")
@@ -128,36 +149,40 @@ def solve_mode(cfg: FDConfig, r0: float) -> ModeField:
             f"front reaches {reach:.3f} >= r_max={cfg.r_max} by time T")
     if not (MOLLIFIER_SUPPORT * sigma < r0 < cfg.r_max - cfg.T):
         raise ValueError("source must sit inside the uncontaminated window")
+    return _leapfrog(cfg, r0)
 
+
+@functools.lru_cache(maxsize=1)
+def _leapfrog(cfg: FDConfig, r0: float) -> ModeField:
     n = int(round(cfg.r_max / cfg.dr))
     r = (np.arange(n) + 0.5) * cfg.dr
-    phi = _mollifier(r, r0, sigma, cfg.dr)
+    phi = _mollifier(r, r0, cfg.mollifier_width, cfg.dr)
+    laplacian = _stencil(r, cfg.dr, cfg.nu)
 
-    dt = cfg.dt
+    dt, dt_sq = cfg.dt, cfg.dt * cfg.dt
     nt = int(math.ceil(cfg.T / dt))
-    u_prev = np.zeros(n)
-    u_cur = dt * phi + (dt ** 3 / 6.0) * _laplacian(phi, r, cfg.dr, cfg.nu)
+    slices = np.zeros((math.ceil(nt / STORE_EVERY) + 1, n))   # row 0: u = 0
+    u_prev, u_cur, u_next, lap = np.zeros((4, n))
+    np.add(dt * phi, (dt ** 3 / 6.0) * laplacian(phi, lap), out=u_cur)
+    times, energies = [0.0], []
 
-    times = [0.0]
-    slices = [u_prev.copy()]
-    energies = []
-
-    def record_energy(u_m, u_0, u_p, t_idx):
-        u_t = (u_p - u_m) / (2.0 * dt)
-        u_r = np.gradient(u_0, cfg.dr)
-        dens = u_t ** 2 + u_r ** 2 + (cfg.nu * u_0 / r) ** 2
-        energies.append(0.5 * float(np.sum(dens * r) * cfg.dr))
-
-    # u_cur is the solution at step 1; march to step nt inclusive
+    # u_cur is the solution at step 1; march to step nt inclusive, as
+    # u_next = 2 u_cur - u_prev + dt^2 laplacian(u_cur)
     for step in range(1, nt + 1):
-        u_next = 2.0 * u_cur - u_prev + dt * dt * _laplacian(u_cur, r, cfg.dr, cfg.nu)
+        np.multiply(2.0, u_cur, out=u_next)
+        np.subtract(u_next, u_prev, out=u_next)
+        np.multiply(dt_sq, laplacian(u_cur, lap), out=lap)
+        np.add(u_next, lap, out=u_next)
         if step % STORE_EVERY == 0 or step == nt:
+            slices[len(times)] = u_cur
             times.append(step * dt)
-            slices.append(u_cur.copy())
-            record_energy(u_prev, u_cur, u_next, step)
-        u_prev, u_cur = u_cur, u_next
+            u_t = (u_next - u_prev) / (2.0 * dt)
+            dens = (u_t ** 2 + np.gradient(u_cur, cfg.dr) ** 2
+                    + (cfg.nu * u_cur / r) ** 2)
+            energies.append(0.5 * float(np.sum(dens * r) * cfg.dr))
+        u_prev, u_cur, u_next = u_cur, u_next, u_prev
 
-    return ModeField(r=r, times=np.array(times), slices=np.array(slices),
+    return ModeField(r=r, times=np.array(times), slices=slices,
                      energies=np.array(energies), config=cfg, r0=r0)
 
 

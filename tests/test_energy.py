@@ -431,6 +431,16 @@ class TestClassification:
         with pytest.raises(ValueError):
             en.hamilton_derivative_symbol(params(), state(r=0.0))
 
+    def test_tau_squaring_to_zero_is_a_typed_error(self):
+        # tau ** 2 underflows to 0 below about 1e-154, where |zeta/tau|^2
+        # cannot be formed; the symbol itself is 0 there (tau <= tau0)
+        pt = state(r=1.0, tau=1.1565366374289877e-189)
+        with pytest.raises(en.TauUnderflow):
+            en.hamilton_derivative_symbol(params(), pt)
+        with pytest.raises(en.EnergyError):
+            en.classify_point(params(), pt)
+        assert en.commutant_symbol(params(), pt) == 0.0
+
     def test_negative_frequency_sheet_is_flat(self):
         value, label = en.hamilton_derivative_symbol(params(), state(tau=-1.5))
         assert value == 0.0

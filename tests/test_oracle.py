@@ -6,6 +6,7 @@ integrals.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ class TestConfigValidation:
             FDConfig(r_max=4.0, dr=1e-3, dt=8e-4, T=1.0,
                      mollifier_width=1e-2, nu=-0.5)
 
+    @pytest.mark.parametrize("name", ["r_max", "dr", "dt", "T",
+                                      "mollifier_width", "nu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field(self, name, value):
+        with pytest.raises(ValueError):
+            FDConfig(**{**QUICK, "nu": 0.5, name: value})
+
 
 class TestSolveGuards:
     def test_cfl_grid_bound(self):
@@ -83,6 +91,13 @@ def field():
 
 class TestSolveProperties:
 
+    def test_pinned_values(self, field):
+        # taken from the allocating leapfrog before it ran on buffers
+        assert field.slices.shape == (80, 1000)
+        assert float(field.slices.sum()).hex() == "0x1.c064e83824a4cp+13"
+        assert float(field.energies[-1]).hex() == "0x1.76c8ce8b0cdf2p+2"
+        assert field.sample(1.5, 2.2).hex() == "0x1.a204b772d38e4p-2"
+
     def test_initial_displacement_zero(self, field):
         assert not field.slices[0].any()
 
@@ -109,6 +124,43 @@ class TestSolveProperties:
             field.sample(5.0, 1.0)
         with pytest.raises(ValueError):
             field.sample(1.0, 99.0)
+
+
+class TestSolveMemo:
+    def test_identical_call_returns_the_same_field(self):
+        first = solve_mode(FDConfig(**QUICK, nu=0.5), 1.0)
+        assert solve_mode(FDConfig(**QUICK, nu=0.5), 1.0) is first
+
+    def test_other_source_or_step_solves_afresh(self):
+        cfg = FDConfig(**QUICK, nu=0.5)
+        first = solve_mode(cfg, 1.0)
+        moved = solve_mode(cfg, 1.1)
+        assert moved is not first and moved.r0 == 1.1
+        finer = solve_mode(replace(cfg, dt=3e-3), 1.0)
+        assert finer is not first and finer.config.dt == 3e-3
+        assert not np.array_equal(finer.times, first.times)
+        # one entry: the first problem is solved again, to the same bytes
+        again = solve_mode(cfg, 1.0)
+        assert again is not first
+        assert again.slices.tobytes() == first.slices.tobytes()
+
+    def test_field_arrays_are_read_only(self, field):
+        for arr in (field.r, field.times, field.slices, field.energies):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            field.slices[1, 2] = 0.0
+
+    def test_guards_run_on_every_call(self):
+        cfg = FDConfig(r_max=4.0, dr=4e-3, dt=2e-3, T=1.0,
+                       mollifier_width=2.4e-2, nu=2.0)
+        for _ in range(2):
+            with pytest.raises(CFLViolation):
+                solve_mode(cfg, 1.0)
+        window = FDConfig(**QUICK, nu=0.5)
+        solve_mode(window, 1.0)
+        with pytest.raises(ValueError):
+            solve_mode(window, 0.05)
 
 
 class TestCompareKernel:
