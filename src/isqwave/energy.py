@@ -15,7 +15,9 @@ audits the sign of the derivative over quasi-random phase-space samples.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +28,7 @@ from .geodesic import (FlowState, SphereMetric, circle, integrate_flow,
 
 __all__ = [
     "EnergyError", "GridTolerance", "PositivityFailure", "TauUnderflow",
+    "SymbolOverflow",
     "TestFunction", "PotentialProfile", "CommutantParams", "AuditResult",
     "polar_quadrature", "angular_weights",
     "hardy_check", "quadratic_form", "gradient_norm_sq",
@@ -54,7 +57,22 @@ class PositivityFailure(EnergyError):
 
 
 class TauUnderflow(EnergyError):
-    """tau ** 2 underflows to zero, so |zeta / tau|^2 cannot be formed."""
+    """tau ** 2 or r^2 tau underflows to zero: a ratio cannot be formed."""
+
+
+class SymbolOverflow(EnergyError):
+    """A term of the commutant symbol overflows a double."""
+
+
+def _typed_overflow(fn):
+    # Python's float ** and math.exp raise OverflowError: make it typed
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise SymbolOverflow(f"{fn.__name__}: {exc}") from exc
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +137,10 @@ class PotentialProfile:
 
 def constant_potential(c: float) -> PotentialProfile:
     c = float(c)
-
-    def func(r, phi):
-        return np.full(np.broadcast_shapes(np.shape(r), np.shape(phi)), c)
-
-    return PotentialProfile(func=func, sup_bound=abs(c), lower_bound=c)
+    return PotentialProfile(
+        func=lambda r, phi: np.full(np.broadcast_shapes(np.shape(r),
+                                                        np.shape(phi)), c),
+        sup_bound=abs(c), lower_bound=c)
 
 
 def polar_quadrature(count: int = 32):
@@ -155,9 +172,7 @@ def _radial_integral(vals: np.ndarray, r: np.ndarray, what: str) -> float:
     """Trapezoid with a stride-2 Richardson estimate and an edge-mass guard."""
     total = float(np.trapezoid(vals, r))
     scale = float(np.trapezoid(np.abs(vals), r))
-    idx = np.arange(0, r.size, 2)
-    if idx[-1] != r.size - 1:
-        idx = np.append(idx, r.size - 1)
+    idx = np.append(np.arange(0, r.size - 1, 2), r.size - 1)
     coarse = float(np.trapezoid(vals[idx], r[idx]))
     est = abs(total - coarse) / 3.0
     if scale > 0.0 and est > 0.01 * scale:
@@ -208,9 +223,8 @@ def hardy_check(tf: TestFunction, n: int):
 def _form_and_gradient(tf: TestFunction, f: PotentialProfile, n: int,
                        aw: np.ndarray):
     # (Q(u), gradient energy) on the angular rule aw
-    fvals = np.asarray(f.func(tf.r[:, None], tf.phi[None, :]), dtype=float)
-    if fvals.shape != tf.u.shape:
-        fvals = np.broadcast_to(fvals, tf.u.shape)
+    fvals = np.broadcast_to(np.asarray(f.func(tf.r[:, None], tf.phi[None, :]),
+                                       dtype=float), tf.u.shape)
     if np.nanmax(fvals) > f.sup_bound + 1e-12 or np.nanmin(fvals) < f.lower_bound - 1e-12:
         raise ValueError("potential values escape the declared bounds")
     grad = _gradient_energy(tf, n, aw)
@@ -324,6 +338,7 @@ def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
 # cutoff calculus
 
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
+_EDGE_ROWS = 512            # edges per np.exp block: 512 x 64 doubles
 # integral of exp(-2/(1-u^2)) over (-1, 1); the edge normalizer
 BUMP_MASS = 0.13308612084499427
 _K_NORM = math.sqrt(2.0 / BUMP_MASS)
@@ -336,22 +351,29 @@ def bump(x: float) -> float:
     return math.exp(-1.0 / (1.0 - x * x))
 
 
-def _bump_sq_mass(v: float) -> float:
-    # integral of exp(-2/(1-u^2)) over (-1, v) by fixed Gauss-Legendre
-    if v <= -1.0:
-        return 0.0
-    if v >= 1.0:
-        return BUMP_MASS
-    half = 0.5 * (v + 1.0)
-    x = -1.0 + half * (_GL64_X + 1.0)
-    with np.errstate(divide="ignore"):
-        # a node rounding onto the support edge gives exp(-inf) = 0, the limit
-        y = np.exp(-2.0 / (1.0 - x * x))
-    return half * float(_GL64_W @ y)
+def _cutoffs(cuts: list) -> list:
+    """Cutoff factors given as (v, falling): the share of BUMP_MASS on
+    (-1, v), or 1 minus it where falling.  The nodes of all v go through
+    np.exp together; np.vecdot takes each row's own BLAS dot with the
+    weights, as _GL64_W @ row does, where a gemv would round otherwise."""
+    inner = [0.5 * (v + 1.0) for v, _ in cuts if not (v <= -1.0 or v >= 1.0)]
+    shares = []
+    for k in range(0, len(inner), _EDGE_ROWS):
+        half = np.array(inner[k:k + _EDGE_ROWS])
+        x = -1.0 + half[:, None] * (_GL64_X + 1.0)
+        with np.errstate(divide="ignore"):
+            # a node rounding onto the support edge gives exp(-inf) = 0, the limit
+            y = np.exp(-2.0 / (1.0 - x * x))
+        shares += (half * np.vecdot(y, _GL64_W) / BUMP_MASS).tolist()
+    shares = iter(shares)
+    edges = (0.0 if v <= -1.0 else 1.0 if v >= 1.0
+             else min(1.0, max(0.0, next(shares))) for v, _ in cuts)
+    return [1.0 - e if falling else e for e, (_, falling) in zip(edges, cuts)]
 
 
-def _edge(v: float) -> float:
-    return min(1.0, max(0.0, _bump_sq_mass(v) / BUMP_MASS))
+def _chi_cut(x: float) -> tuple:
+    # cutoff_chi(x) as (v, falling): each edge reads 1 on the plateau [-1, 1]
+    return (2.0 * x + 3.0, False) if x < 0.0 else (2.0 * x - 3.0, True)
 
 
 def phi1(x: float) -> float:
@@ -371,22 +393,12 @@ def phi3(x: float) -> float:
 
 def cutoff_chi(x: float) -> float:
     """Plateau cutoff: 0 off (-2, 2), 1 on [-1, 1], squared-bump edges."""
-    if x <= -2.0 or x >= 2.0:
-        return 0.0
-    if x < -1.0:
-        return _edge(2.0 * x + 3.0)
-    if x <= 1.0:
-        return 1.0
-    return 1.0 - _edge(2.0 * x - 3.0)
+    return _cutoffs([_chi_cut(x)])[0]
 
 
 def cutoff_chi_tilde(x: float) -> float:
     """Step cutoff: 0 for x <= 0, 1 for x >= 1, squared-bump edge between."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return _edge(2.0 * x - 1.0)
+    return _cutoffs([(2.0 * x - 1.0, False)])[0]
 
 
 def cutoff_chi_prime(x: float) -> float:
@@ -437,6 +449,7 @@ def _symbol_coordinates(p: CommutantParams, point: FlowState, g: SphereMetric):
     return xh, zq, sig, yr, yt
 
 
+@_typed_overflow
 def commutant_symbol(p: CommutantParams, point: FlowState,
                      g: Optional[SphereMetric] = None) -> float:
     """Value of the commutant symbol a at a phase-space point.
@@ -451,48 +464,21 @@ def commutant_symbol(p: CommutantParams, point: FlowState,
     if point.tau <= p.tau0:
         return 0.0
     xh, _, sig, yr, yt = _symbol_coordinates(p, point, g)
-    if _outside_support(p, xh, sig, yr, yt):
+    if max(abs(xh), abs(sig)) >= 2.0 * p.delta or min(yr, yt) <= 0.0:
         return 0.0
-    return math.prod(_cutoffs(p, point.tau, xh, sig, yr, yt),
+    return math.prod(_cutoffs(_cuts(p, point.tau, xh, sig, yr, yt)),
                      start=math.exp(p.C * xh))
 
 
-def _outside_support(p: CommutantParams, xh: float, sig: float, yr: float,
-                     yt: float) -> bool:
-    # commutant_symbol's guards past the tau cutoff, in its order
-    return (abs(xh) >= 2.0 * p.delta or abs(sig) >= 2.0 * p.delta
-            or yr <= 0.0 or yt <= 0.0)
+def _cuts(p: CommutantParams, tau: float, xh: float, sig: float, yr: float,
+          yt: float) -> list:
+    # the five cutoffs of a = exp(C xi_hat) * their product, as (v, falling)
+    return [_chi_cut(xh / p.delta), (2.0 * yr - 1.0, False),
+            (2.0 * yt - 1.0, False), (2.0 * (tau - p.tau0) - 1.0, False),
+            _chi_cut(sig / p.delta)]
 
 
-def _cutoffs(p: CommutantParams, tau: float, xh: float, sig: float,
-             yr: float, yt: float) -> tuple:
-    # the five cutoff factors of a; it is exp(C xi_hat) times their product
-    return (cutoff_chi(xh / p.delta), cutoff_chi_tilde(yr),
-            cutoff_chi_tilde(yt), cutoff_chi_tilde(tau - p.tau0),
-            cutoff_chi(sig / p.delta))
-
-
-def _label(p: CommutantParams, point: FlowState, xh: float, zq: float,
-           sig: float, yr: float, yt: float) -> str:
-    # classify_point at tau > 0, from the symbol coordinates
-    x1 = xh / p.delta
-    e1 = 1.0 < x1 < 2.0
-    e2 = 1.0 < abs(sig / p.delta) < 2.0
-    good_xi = -2.0 < x1 < -1.0
-    edge_step = (0.0 < yr < 1.0) or (0.0 < yt < 1.0)
-    # characteristic_value(point, g) < delta
-    dominated = point.tau ** 2 - (point.xi ** 2 + zq) / point.r ** 2 < p.delta
-    if (e1 and e2) or (edge_step and not dominated):
-        return "mixed"
-    if e1:
-        return "hypothesis e1"
-    if e2:
-        return "elliptic e2"
-    if good_xi or edge_step:
-        return "good-sign g"
-    return "main b2"
-
-
+@_typed_overflow
 def classify_point(p: CommutantParams, point: FlowState,
                    g: Optional[SphereMetric] = None) -> str:
     """Which derivative class a point contributes to.
@@ -512,37 +498,51 @@ def classify_point(p: CommutantParams, point: FlowState,
     g = circle() if g is None else g
     if point.r <= 0.0:
         raise ValueError("classification needs r > 0")
+    return _setup(p, point, g)[0]
+
+
+def _setup(p: CommutantParams, point, g: SphereMetric) -> tuple:
+    # (classify_point's label, coordinates, cutoffs) at r > 0; no cutoffs
+    # where a and H_p a vanish: tau <= 0 and outside the live xi_hat band
     if point.tau <= 0.0:
-        return "main b2"
-    return _label(p, point, *_symbol_coordinates(p, point, g))
-
-
-def _evaluate(p: CommutantParams, point: FlowState, g: SphereMetric):
-    """(a, H_p a, label) at a point with r > 0 in one pass: the values of
-    commutant_symbol (0 at tau <= 0), the analytic derivative and
-    classify_point, with the float operations of each."""
-    tau = point.tau
-    if tau <= 0.0:
-        # the symbol vanishes identically on this sheet (tau step cutoff)
-        return 0.0, 0.0, "main b2"
+        return "main b2", None, []
     xh, zq, sig, yr, yt = coords = _symbol_coordinates(p, point, g)
-    label = _label(p, point, *coords)
     x1 = xh / p.delta
-    if abs(x1) >= 2.0:
+    e1 = 1.0 < x1 < 2.0
+    e2 = 1.0 < abs(sig / p.delta) < 2.0
+    edge_step = (0.0 < yr < 1.0) or (0.0 < yt < 1.0)
+    # characteristic_value(point, g) < delta
+    dominated = point.tau ** 2 - (point.xi ** 2 + zq) / point.r ** 2 < p.delta
+    if (e1 and e2) or (edge_step and not dominated):
+        label = "mixed"
+    elif e1 or e2:
+        label = "hypothesis e1" if e1 else "elliptic e2"
+    else:
+        label = "good-sign g" if -2.0 < x1 < -1.0 or edge_step else "main b2"
+    return label, coords, [] if abs(x1) >= 2.0 else \
+        _cuts(p, point.tau, xh, sig, yr, yt)
+
+
+def _finish(p: CommutantParams, point, label: str, coords, vals: list):
+    # (a, H_p a, label) from _setup's output and the cutoff factors
+    if not vals:
         return 0.0, 0.0, label
-    vals = _cutoffs(p, tau, xh, sig, yr, yt)
+    xh, zq, sig, yr, yt = coords
+    tau = point.tau
     lever = math.exp(p.C * xh)
-    a = 0.0 if tau <= p.tau0 or _outside_support(p, xh, sig, yr, yt) \
-        else math.prod(vals, start=lever)
+    # off commutant_symbol's support (tau <= tau0 included) a factor is 0
+    a = math.prod(vals, start=lever)
     zeros = [i for i, v in enumerate(vals) if v == 0.0]
     if len(zeros) >= 2:
         return a, 0.0, label
     # flow rates in the t' = tau parametrization; tau' = 0 so the tau factor
     # never differentiates, and |zeta|_k^2 is conserved so sigma' closes
     r2 = point.r ** 2
+    if r2 * tau == 0.0:
+        raise TauUnderflow(f"r^2 tau underflows at r={point.r!r}, tau={tau!r}")
     xh_dot = -(point.xi ** 2 + zq) / (r2 * tau)
     sig_dot = -2.0 * point.xi * sig / r2
-    rates = (cutoff_chi_prime(x1) / p.delta * xh_dot,
+    rates = (cutoff_chi_prime(xh / p.delta) / p.delta * xh_dot,
              cutoff_chi_tilde_prime(yr) * (2.0 * point.xi + p.alpha * xh_dot),
              cutoff_chi_tilde_prime(yt)
              * (-2.0 * (point.t - p.t0) * tau + p.alpha * xh_dot),
@@ -558,23 +558,31 @@ def _evaluate(p: CommutantParams, point: FlowState, g: SphereMetric):
     return a, lever * total, label
 
 
-def _one_sided_rate(p: CommutantParams, point: FlowState, g: SphereMetric,
-                    h: float) -> float:
-    traj = integrate_flow(point, g, 2.0 * h, h, system="rescaled")
-    a0, a1, a2 = (commutant_symbol(p, st, g) for st in traj.states[:3])
-    return (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * h)
+@_typed_overflow
+def _evaluate(p: CommutantParams, points: list, g: SphereMetric) -> list:
+    """(a, H_p a, label) per point with r > 0: commutant_symbol (0 at
+    tau <= 0), the analytic derivative and classify_point, with the float
+    operations of each; the cutoffs of all points take one _cutoffs call."""
+    heads = [_setup(p, pt, g) for pt in points]
+    vals = iter(_cutoffs([cut for *_, cuts in heads for cut in cuts]))
+    return [_finish(p, pt, label, coords, [next(vals) for _ in cuts])
+            for pt, (label, coords, cuts) in zip(points, heads)]
 
 
 def _hamilton_fd(p: CommutantParams, point: FlowState, g: SphereMetric,
                  h: float) -> float:
     # one-sided second-order stencil along the rescaled flow, which stays
     # smooth near r = 0; the rescaled field is r^2 times the singular one.
-    # One Richardson level cancels the h^2 term of the stencil.
-    coarse = _one_sided_rate(p, point, g, h)
-    fine = _one_sided_rate(p, point, g, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0 / point.r ** 2
+    # One Richardson level, step h against h/2, cancels the h^2 term.
+    rates = []
+    for step in (h, 0.5 * h):
+        traj = integrate_flow(point, g, 2.0 * step, step, system="rescaled")
+        a0, a1, a2 = (commutant_symbol(p, st, g) for st in traj.states[:3])
+        rates.append((-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * step))
+    return (4.0 * rates[1] - rates[0]) / 3.0 / point.r ** 2
 
 
+@_typed_overflow
 def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
                                g: Optional[SphereMetric] = None,
                                method: str = "analytic",
@@ -592,7 +600,7 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
     if point.r <= 0.0:
         raise ValueError("Hamilton derivative needs r > 0")
     if method == "analytic":
-        return _evaluate(p, point, g)[1:]
+        return _evaluate(p, [point], g)[0][1:]
     if method != "fd":
         raise ValueError(f"unknown method {method!r}")
     if fd_step <= 0.0:
@@ -604,16 +612,37 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
 # quasi-random sign audit
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
+_Point = namedtuple("_Point", "t r theta tau xi zeta")
 
 
-def _halton(index: int, base: int) -> float:
-    f = 1.0
-    out = 0.0
-    while index > 0:
-        f /= base
-        out += f * (index % base)
-        index //= base
-    return out
+def _sample_points(p: CommutantParams, start: int, count: int,
+                   dim: int) -> list:
+    # sample_states' points as unchecked _Points: radical inverses of all int64
+    # indices at once (f /= b; q += f * (i % b); i //= b), correctly rounded ops
+    idx = np.array(range(start + 1, start + count + 1), dtype=np.int64).clip(0)
+    q = []
+    for b in _HALTON_BASES:
+        i, f, digits = idx, 1.0, np.zeros(idx.size)
+        while i.any():
+            f /= b
+            i, digit = np.divmod(i, b)
+            digits += f * digit
+        q.append(digits)
+    two_d = 2.0 * p.delta
+    xi_lo = max(-two_d, -two_d / p.alpha)
+    xh = xi_lo + q[1] * (two_d - xi_lo)
+    credit = np.maximum(p.alpha * xh + two_d, 0.0)
+    r = np.maximum(1e-3, np.sqrt(q[0] * credit))
+    t = p.t0 + (2.0 * q[3] - 1.0) * np.sqrt(credit)
+    band_lo = np.maximum(0.0, r * r - xh * xh - two_d)
+    band_hi = r * r - xh * xh + two_d
+    tau = p.tau0 + 2.0 * q[4]
+    zeta = np.sqrt(band_lo + q[2] * (band_hi - band_lo)) * tau
+    pad_theta, pad_zeta = (math.pi / 2.0,) * (dim - 1), (0.0,) * (dim - 1)
+    return [_Point(*row[:2], (row[2],) + pad_theta, row[3], row[4],
+                   (row[5],) + pad_zeta)
+            for row in zip(t.tolist(), r.tolist(), (2.0 * math.pi * q[5]).tolist(),
+                           tau.tolist(), (xh * tau).tolist(), zeta.tolist())]
 
 
 def sample_states(p: CommutantParams, start: int, count: int,
@@ -626,28 +655,11 @@ def sample_states(p: CommutantParams, start: int, count: int,
     t inside the step-cutoff credit alpha xi_hat + 2 delta, then |zeta_hat|
     inside the characteristic-surface band; that makes essentially every
     sample land where the symbol is positive.  Halton drives the map, so
-    the scan is deterministic.  Extra chart angles beyond the first are
-    pinned to mid-chart.
+    the scan is deterministic (indices from 2**63 on raise OverflowError).
+    Extra chart angles beyond the first are pinned to mid-chart.
     """
     g = circle() if g is None else g
-    two_d = 2.0 * p.delta
-    xi_lo = max(-two_d, -two_d / p.alpha)
-    states = []
-    for i in range(start + 1, start + count + 1):
-        q = [_halton(i, b) for b in _HALTON_BASES]
-        xh = xi_lo + q[1] * (two_d - xi_lo)
-        credit = p.alpha * xh + two_d
-        r = max(1e-3, math.sqrt(q[0] * max(credit, 0.0)))
-        t = p.t0 + (2.0 * q[3] - 1.0) * math.sqrt(max(credit, 0.0))
-        band_lo = max(0.0, r * r - xh * xh - two_d)
-        band_hi = r * r - xh * xh + two_d
-        zh = math.sqrt(band_lo + q[2] * (band_hi - band_lo))
-        tau = p.tau0 + 2.0 * q[4]
-        theta = (2.0 * math.pi * q[5],) + (math.pi / 2.0,) * (g.dim - 1)
-        zeta = (zh * tau,) + (0.0,) * (g.dim - 1)
-        states.append(FlowState(t=t, r=r, theta=theta, tau=tau,
-                                xi=xh * tau, zeta=zeta))
-    return states
+    return [FlowState(*pt) for pt in _sample_points(p, start, count, g.dim)]
 
 
 @dataclass(frozen=True)
@@ -668,19 +680,25 @@ class AuditScan:
         self.scanned, self.kept, self.max_value = 0, 0, -math.inf
         self.counts: dict = {}
 
-    def samples(self, start: int, count: int):
-        """Yield and tally (state, H_p a, label, audited) per Halton sample
-        start + 1 .. start + count; audited marks the points held to
-        H_p a <= 0: label "main b2" or "good-sign g", positive symbol."""
-        for st in sample_states(self.p, start, count, self.g):
-            a, value, label = _evaluate(self.p, st, self.g)
-            audited = label in ("main b2", "good-sign g") and a > 0.0
-            self.scanned += 1
+    def scan(self, start: int, count: int) -> list:
+        """Evaluate and tally Halton samples start + 1 .. start + count as
+        one batch: (point, H_p a, label, audited) each; audited marks the
+        points held to H_p a <= 0 ("main b2" or "good-sign g", a > 0)."""
+        points = _sample_points(self.p, start, count, self.g.dim)
+        rows = [(pt, value, label, label in ("main b2", "good-sign g")
+                 and a > 0.0) for pt, (a, value, label)
+                in zip(points, _evaluate(self.p, points, self.g))]
+        for _, value, label, audited in rows:
             self.counts[label] = self.counts.get(label, 0) + 1
             if audited:
                 self.kept += 1
                 self.max_value = max(self.max_value, value)
-            yield st, value, label, audited
+        self.scanned += len(rows)
+        return rows
+
+    def samples(self, start: int, count: int) -> list:
+        """`scan`, with each point a FlowState."""
+        return [(FlowState(*pt), *rest) for pt, *rest in self.scan(start, count)]
 
 
 def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
@@ -688,18 +706,18 @@ def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
                max_scan: int = 4_000_000) -> AuditResult:
     """Maximum of the analytic Hamilton derivative over the audited region.
 
-    Scans Halton samples until min_kept of them land in the "main b2" or
-    "good-sign g" classes with a strictly positive symbol value; those are
-    the points where the derivative must be nonpositive once alpha is
-    large enough.  Other classes are tallied but carry no sign claim.
+    Scans Halton samples, `batch` at a time through `AuditScan.scan`, until
+    min_kept of them land in the "main b2" or "good-sign g" classes with a
+    strictly positive symbol value; those are the points where the
+    derivative must be nonpositive once alpha is large enough.  Other
+    classes are tallied but carry no sign claim.
     """
     scan = AuditScan(p, g)
     while scan.kept < min_kept:
         if scan.scanned >= max_scan:
             raise EnergyError(f"audit kept only {scan.kept} of "
                               f"{scan.scanned} samples; box too sparse")
-        for _ in scan.samples(scan.scanned, batch):
-            pass
+        scan.scan(scan.scanned, batch)
     return AuditResult(alpha=p.alpha, kept=scan.kept, scanned=scan.scanned,
                        max_value=scan.max_value, counts=scan.counts)
 
@@ -719,8 +737,7 @@ def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
         p = CommutantParams(C=C, delta=delta, alpha=alpha, t0=t0, tau0=tau0)
         return sign_audit(p, g, min_kept=kept).max_value <= tol
 
-    lo = 0.0
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while not passes(hi, probe_kept):
         lo = hi
         hi *= 2.0
@@ -728,10 +745,7 @@ def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
             raise EnergyError("no dominating alpha below 1e9")
     for _ in range(bisections):
         mid = 0.5 * (lo + hi)
-        if passes(mid, probe_kept):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if passes(mid, probe_kept) else (mid, hi)
     alpha = hi
     for _ in range(4):
         if passes(alpha, verify_kept):
@@ -771,29 +785,20 @@ def sharpness_profile(n: int, eps: float, points: int = 6000,
     x = np.linspace(-span, span, points)
     r = np.exp(x)
     gauss = np.exp(-0.5 * eps ** 2 * x ** 2)
-
-    def fn(rr):
-        return r ** (-lam) * gauss
-
-    def dfn(rr):
-        return r ** (-lam - 1.0) * gauss * (-lam - eps ** 2 * x)
-
-    return radial_test_function(fn, dfn, r, n_phi=n_phi)
+    return radial_test_function(
+        lambda rr: r ** (-lam) * gauss,
+        lambda rr: r ** (-lam - 1.0) * gauss * (-lam - eps ** 2 * x), r,
+        n_phi=n_phi)
 
 
-def _bump_vec(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    m = np.abs(x) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
-    return out
-
-
-def _dbump_vec(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
+def _bump_and_slope(x: np.ndarray, width: float):
+    # bump(x) on an array, and its derivative over width
+    out, slope = np.zeros_like(x), np.zeros_like(x)
     m = np.abs(x) < 1.0
     xm = x[m]
-    out[m] = np.exp(-1.0 / (1.0 - xm ** 2)) * (-2.0 * xm / (1.0 - xm ** 2) ** 2)
-    return out
+    out[m] = np.exp(-1.0 / (1.0 - xm ** 2))
+    slope[m] = out[m] * (-2.0 * xm / (1.0 - xm ** 2) ** 2)
+    return out, slope / width
 
 
 def random_suite(n: int, count: int = 20, seed: int = 0x5EED,
@@ -806,20 +811,15 @@ def random_suite(n: int, count: int = 20, seed: int = 0x5EED,
     rng = np.random.default_rng(seed)
     r = np.linspace(1e-4, 1.0, r_points)
     phi, _ = polar_quadrature(n_phi)
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     suite = []
     for _ in range(count):
-        u = np.zeros((r_points, n_phi))
-        du_r = np.zeros_like(u)
-        du_phi = np.zeros_like(u)
+        u, du_r, du_phi = (np.zeros((r_points, n_phi)) for _ in range(3))
         for _ in range(int(rng.integers(2, 4))):
             c = rng.uniform(0.3, 1.0) * rng.choice((-1.0, 1.0))
             center = rng.uniform(0.2, 0.7)
             width = rng.uniform(0.08, 0.18)
-            arg = (r - center) / width
-            rad = _bump_vec(arg)
-            drad = _dbump_vec(arg) / width
+            rad, drad = _bump_and_slope((r - center) / width, width)
             if rng.integers(0, 2) == 0:
                 u += c * rad[:, None]
                 du_r += c * drad[:, None]

@@ -12,7 +12,8 @@ Both systems are one field, `_field`, on a packed state: the flat list of
 floats [t, r, *theta, tau, xi, *zeta]. `integrate_flow` runs RK4 on that
 list, four field evaluations per substep, and builds a `FlowState` only
 where it records a sample; `hamilton_rhs` and `rescaled_rhs` wrap the
-field for single states.
+field for single states. A chart (`SphereMetric`) hands the field its
+metric terms as plain floats, each rounded as numpy's matrix form rounds it.
 """
 
 from __future__ import annotations
@@ -77,45 +78,49 @@ class FlowState:
 
 @dataclass(frozen=True)
 class SphereMetric:
-    """Inverse metric k^{ij}(theta) and its angle derivatives on a chart.
+    """A chart of the sphere, given by the metric terms the flow needs.
 
-    dk_inv returns the array d[l, i, j] = d k^{ij} / d theta_l.
+    terms(theta, zeta) returns plain floats (kz, |zeta|_k^2, dk): kz is the
+    tuple k^{ij}(theta) zeta_j, |zeta|_k^2 = zeta_i kz_i, and dk is the tuple
+    over l of (d_theta_l k^{ij}) zeta_i zeta_j. Each rounds, signed zeros
+    included, as numpy's k_inv @ zeta, zeta @ (k_inv @ zeta) and
+    einsum("lij,i,j->l", dk_inv, zeta, zeta) on the inverse-metric arrays.
     """
     dim: int
-    k_inv: Callable[[tuple], np.ndarray]
-    dk_inv: Callable[[tuple], np.ndarray]
+    terms: Callable[[tuple, tuple], tuple]
     name: str = "custom"
 
 
 def circle() -> SphereMetric:
     """Round S^1: one angle, k = 1, no curvature terms."""
-    one = np.ones((1, 1))
-    zero = np.zeros((1, 1, 1))
-    return SphereMetric(dim=1, k_inv=lambda th: one, dk_inv=lambda th: zero,
-                        name="circle")
+
+    def terms(th, z):
+        (z0,) = z       # ValueError for a zeta of another dimension
+        # + 0.0 turns -0.0 into 0.0, as the BLAS sums starting from 0 do
+        return (z0 + 0.0,), z0 * z0, (0.0,)
+
+    return SphereMetric(dim=1, terms=terms, name="circle")
 
 
 def sphere_chart() -> SphereMetric:
-    """Round S^2 in polar angles (phi, psi), valid away from the poles."""
+    """Round S^2 in polar angles (phi, psi), valid away from the poles;
+    k = diag(1, 1/sin^2 phi), whose one angle derivative is d_phi k^{psi psi}."""
 
-    def k_inv(th):
-        phi = th[0]
-        s = math.sin(phi)
-        return np.array([[1.0, 0.0], [0.0, 1.0 / (s * s)]])
+    def terms(th, z):
+        z0, z1 = z      # ValueError for a zeta of another dimension
+        s = math.sin(th[0])
+        kz = (z0 + 0.0, 1.0 / (s * s) * z1 + 0.0)
+        # BLAS rounds this two-term dot as fma(z1, kz1, z0 z0), which the
+        # plain float sum does not reproduce; Python 3.11 has no math.fma
+        zkz = float(np.dot(z, kz))
+        dk = -2.0 * math.cos(th[0]) / s ** 3 * z1 * z1
+        return kz, zkz, (dk + 0.0, 0.0)
 
-    def dk_inv(th):
-        phi = th[0]
-        s, c = math.sin(phi), math.cos(phi)
-        d = np.zeros((2, 2, 2))
-        d[0, 1, 1] = -2.0 * c / s ** 3
-        return d
-
-    return SphereMetric(dim=2, k_inv=k_inv, dk_inv=dk_inv, name="sphere")
+    return SphereMetric(dim=2, terms=terms, name="sphere")
 
 
 def zeta_norm_sq(state: FlowState, g: SphereMetric) -> float:
-    z = np.asarray(state.zeta)
-    return float(z @ g.k_inv(state.theta) @ z)
+    return g.terms(state.theta, state.zeta)[1]
 
 
 def characteristic_value(state: FlowState, g: SphereMetric) -> float:
@@ -130,18 +135,13 @@ def _field(y: list, g: SphereMetric, d: int, singular: bool) -> list:
     r, tau, xi = y[1], y[2 + d], y[3 + d]
     if singular and r <= R_FLOOR:
         raise OriginSingularity(f"r={r!r} at or below floor {R_FLOOR}")
-    theta = tuple(y[2:2 + d])
-    z = np.array(y[4 + d:])
-    kz = g.k_inv(theta) @ z
-    zkz = float(z @ kz)
-    # component l of (d_theta_l k^{ij}) zeta_i zeta_j
-    dz = np.einsum("lij,i,j->l", g.dk_inv(theta), z, z)
+    kz, zkz, dk = g.terms(y[2:2 + d], y[4 + d:])
     if singular:
         r2 = r ** 2
-        return [tau, -xi / r, *(kz / (2.0 * r2)).tolist(), 0.0,
-                -(xi ** 2 + zkz) / r2, *(-dz / (4.0 * r2)).tolist()]
-    return [r ** 2 * tau, -r * xi, *(kz / 2.0).tolist(), 0.0,
-            -(xi ** 2 + zkz), *(-dz / 4.0).tolist()]
+        return [tau, -xi / r, *[v / (2.0 * r2) for v in kz], 0.0,
+                -(xi ** 2 + zkz) / r2, *[-v / (4.0 * r2) for v in dk]]
+    return [r ** 2 * tau, -r * xi, *[v / 2.0 for v in kz], 0.0,
+            -(xi ** 2 + zkz), *[-v / 4.0 for v in dk]]
 
 
 def _pack(state: FlowState) -> list:
@@ -149,8 +149,7 @@ def _pack(state: FlowState) -> list:
 
 
 def _unpack(y: list, d: int) -> FlowState:
-    return FlowState(t=y[0], r=y[1], theta=tuple(y[2:2 + d]), tau=y[2 + d],
-                     xi=y[3 + d], zeta=tuple(y[4 + d:]))
+    return FlowState(y[0], y[1], y[2:2 + d], y[2 + d], y[3 + d], y[4 + d:])
 
 
 def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:

@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mpmath as mp
 
 from isqwave import energy as en
-from isqwave.geodesic import FlowState, circle
+from isqwave.geodesic import FlowState, circle, sphere_chart
 
 mp.mp.dps = 30
 
@@ -25,6 +25,43 @@ def gaussian_profile(points=4000, r_max=6.0):
     return en.radial_test_function(
         lambda rr: rr * np.exp(-rr ** 2),
         lambda rr: (1.0 - 2.0 * rr ** 2) * np.exp(-rr ** 2), r)
+
+
+def _scalar_edge(v):
+    """The squared-bump edge one v at a time: 64 Gauss-Legendre nodes
+    through np.exp and the weights' dot with that one row of values."""
+    if v <= -1.0 or v >= 1.0:
+        return 0.0 if v <= -1.0 else 1.0
+    half = 0.5 * (v + 1.0)
+    x = -1.0 + half * (en._GL64_X + 1.0)
+    with np.errstate(divide="ignore"):
+        y = np.exp(-2.0 / (1.0 - x * x))
+    return min(1.0, max(0.0, half * float(en._GL64_W @ y) / en.BUMP_MASS))
+
+
+def _scalar_cutoffs(cuts):
+    return [1.0 - _scalar_edge(v) if falling else _scalar_edge(v)
+            for v, falling in cuts]
+
+
+_edge_args = st.one_of(st.floats(-1.5, 1.5), st.floats(-1.0, -0.9999),
+                       st.floats(0.9999, 1.0))
+
+
+@given(st.lists(st.tuples(_edge_args, st.booleans()), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_batched_cutoffs_are_the_scalar_edges(cuts):
+    assert [v.hex() for v in en._cutoffs(cuts)] == \
+        [v.hex() for v in _scalar_cutoffs(cuts)]
+
+
+def test_batched_cutoffs_across_exp_blocks():
+    # more edges than one np.exp block holds
+    rng = np.random.default_rng(7)
+    cuts = [(float(v), bool(f)) for v, f in
+            zip(rng.uniform(-1.1, 1.1, 5000), rng.integers(0, 2, 5000))]
+    assert [v.hex() for v in en._cutoffs(cuts)] == \
+        [v.hex() for v in _scalar_cutoffs(cuts)]
 
 
 class TestCutoffs:
@@ -441,6 +478,35 @@ class TestClassification:
             en.classify_point(params(), pt)
         assert en.commutant_symbol(params(), pt) == 0.0
 
+    def test_r_squared_tau_underflow_is_a_typed_error(self):
+        # r^2 tau = 1e-350 underflows to 0 although tau ** 2 = 1e-300 does
+        # not; the xi_hat rate divides by it, on the scalar and batch paths
+        pt = FlowState(t=0.0, r=1e-100, theta=(0.0,), tau=1e-150, xi=0.0,
+                       zeta=(0.0,))
+        with pytest.raises(en.TauUnderflow):
+            en.hamilton_derivative_symbol(params(), pt)
+        with pytest.raises(en.TauUnderflow):
+            en._evaluate(params(), [state(), pt], circle())
+
+    @pytest.mark.parametrize("p, pt", [
+        # tau ** 2 overflows
+        (params(), FlowState(t=0.0, r=1.0, theta=(0.0,), tau=1e200, xi=1e200,
+                             zeta=(1e200,))),
+        # exp(C xi_hat) overflows inside the widened support
+        (params(delta=1e300), state(r=1.0, xi_hat=1000.0)),
+    ])
+    def test_overflow_is_a_typed_error(self, p, pt):
+        calls = [lambda: en.commutant_symbol(p, pt),
+                 lambda: en.hamilton_derivative_symbol(p, pt),
+                 lambda: en._evaluate(p, [state(), pt], circle())]
+        if pt.tau > 1e100:
+            calls += [lambda: en.classify_point(p, pt),
+                      lambda: en.hamilton_derivative_symbol(p, pt,
+                                                            method="fd")]
+        for call in calls:
+            with pytest.raises(en.SymbolOverflow):
+                call()
+
     def test_negative_frequency_sheet_is_flat(self):
         value, label = en.hamilton_derivative_symbol(params(), state(tau=-1.5))
         assert value == 0.0
@@ -514,6 +580,55 @@ class TestAudit:
                               "good-sign g": 1763, "elliptic e2": 1705,
                               "main b2": 189}
 
+    def test_audit_pinned_at_alpha_2487(self):
+        res = en.sign_audit(params(alpha=2.487), min_kept=1500)
+        assert (res.scanned, res.kept) == (6144, 1569)
+        assert res.max_value.hex() == "-0x1.b77a97fe2109cp-935"
+        assert res.counts == {"mixed": 2238, "hypothesis e1": 877,
+                              "good-sign g": 1544, "elliptic e2": 1450,
+                              "main b2": 35}
+
+    @pytest.mark.parametrize("chart", [circle(), sphere_chart()])
+    def test_samples_pinned(self, chart):
+        # Halton samples 101..103, pinned as float.hex; the sphere adds the
+        # mid-chart angle pi/2 and a zero second momentum
+        rows = [["-0x1.4f6af468606a0p-3", "0x1.0157b8325f8a9p+0",
+                 "0x1.45fb68879eafep+2", "0x1.832c6e043b3d6p+0",
+                 "0x1.2a66cd612542cp-1", "0x1.1c9f6b377818fp+0"],
+                ["0x1.8e4edbdcd7eeep-4", "0x1.96c729d8e2a74p-2",
+                 "0x1.64ea27b4415d9p+2", "0x1.b1b810ecf56bep+0",
+                 "-0x1.1c8934e6c27c3p-3", "0x1.ee1bf023cd188p-1"],
+                ["0x1.d7649a08c5ec8p-2", "0x1.fb79786a05911p-1",
+                 "0x1.83d8e6e0e40b3p+2", "0x1.e043b3d5af9a7p+0",
+                 "0x1.7d29ecdf43f2dp-2", "0x1.f80892541acc5p+0"]]
+        extra = chart.dim - 1
+        got = en.sample_states(params(alpha=2.487), 100, 3, chart)
+        for st, (t, r, theta, tau, xi, zeta) in zip(got, rows):
+            want = [t, r, theta] + [(math.pi / 2).hex()] * extra \
+                + [tau, xi, zeta] + ["0x0.0p+0"] * extra
+            assert [v.hex() for v in (st.t, st.r, *st.theta, st.tau, st.xi,
+                                      *st.zeta)] == want
+
+    def test_one_exp_block_per_halton_batch(self, monkeypatch):
+        # the edge nodes of a whole batch go through np.exp together, in
+        # blocks of at most 512 edges x 64 nodes
+        sizes = []
+        exp = np.exp
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        # 100 samples have at most 5 x 100 <= 512 edges: one block each
+        res = en.sign_audit(params(alpha=4.0), min_kept=100, batch=100)
+        assert len(sizes) == res.scanned // 100
+        sizes.clear()
+        res = en.sign_audit(params(alpha=4.0), min_kept=100)
+        batches = res.scanned // 2048
+        assert batches <= len(sizes) <= 5 * 2048 // 512 * batches
+        assert max(sizes) <= 512 * 64
+
     def test_one_zeta_norm_per_scanned_sample(self, monkeypatch):
         calls = []
         norm = en.zeta_norm_sq
@@ -528,6 +643,56 @@ class TestAudit:
 
 
 AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
+
+
+def _reference_states(p, start, count, dim):
+    """sample_states as one scalar radical inverse per index and base: the
+    loop the batched Halton digits must reproduce bit for bit."""
+    def halton(index, base):
+        f, out = 1.0, 0.0
+        while index > 0:
+            f /= base
+            out += f * (index % base)
+            index //= base
+        return out
+
+    two_d = 2.0 * p.delta
+    xi_lo = max(-two_d, -two_d / p.alpha)
+    rows = []
+    for i in range(start + 1, start + count + 1):
+        q = [halton(i, b) for b in (2, 3, 5, 7, 11, 13)]
+        xh = xi_lo + q[1] * (two_d - xi_lo)
+        credit = p.alpha * xh + two_d
+        r = max(1e-3, math.sqrt(q[0] * max(credit, 0.0)))
+        t = p.t0 + (2.0 * q[3] - 1.0) * math.sqrt(max(credit, 0.0))
+        band_lo = max(0.0, r * r - xh * xh - two_d)
+        band_hi = r * r - xh * xh + two_d
+        zh = math.sqrt(band_lo + q[2] * (band_hi - band_lo))
+        tau = p.tau0 + 2.0 * q[4]
+        theta = (2.0 * math.pi * q[5],) + (math.pi / 2.0,) * (dim - 1)
+        zeta = (zh * tau,) + (0.0,) * (dim - 1)
+        rows.append((t, r, *theta, tau, xh * tau, *zeta))
+    return [[v.hex() for v in row] for row in rows]
+
+
+@given(start=st.one_of(st.integers(-100, 10 ** 7),
+                       st.integers(2 ** 63 - 10 ** 4, 2 ** 63 - 1)),
+       count=st.integers(0, 50), sphere=st.booleans(),
+       alpha=st.sampled_from(AUDIT_ALPHAS))
+@settings(max_examples=150, deadline=None)
+@example(start=2 ** 63 - 4, count=3, sphere=False, alpha=1.0)
+def test_samples_match_the_scalar_radical_inverse(start, count, sphere, alpha):
+    # up to the last int64 index, 2**63 - 1
+    count = min(count, 2 ** 63 - 1 - start)
+    p, g = params(alpha=alpha), sphere_chart() if sphere else circle()
+    got = [[v.hex() for v in (s.t, s.r, *s.theta, s.tau, s.xi, *s.zeta)]
+           for s in en.sample_states(p, start, count, g)]
+    assert got == _reference_states(p, start, count, g.dim)
+
+
+def test_samples_past_int64_raise():
+    with pytest.raises(OverflowError):
+        en.sample_states(params(), 2 ** 63 - 2, 2)
 
 
 class TestSharedEvaluation:
@@ -561,7 +726,7 @@ class TestSharedEvaluation:
                                                 tau, alpha):
         p = params(alpha=alpha)
         pt = state(r=r, xi_hat=xi_hat, zeta_hat=zeta_hat, t=t, tau=tau)
-        a, value, label = en._evaluate(p, pt, circle())
+        a, value, label = en._evaluate(p, [pt], circle())[0]
         assert a.hex() == en.commutant_symbol(p, pt).hex()
         want, want_label = en.hamilton_derivative_symbol(p, pt)
         assert value.hex() == want.hex()

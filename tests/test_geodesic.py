@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isqwave import geodesic
@@ -66,6 +66,16 @@ class TestStateAndMetrics:
                       xi=0.0, zeta=(0.3, 0.4))
         # at the equator sin(phi) = 1, so the norm is Euclidean
         assert zeta_norm_sq(s, g) == pytest.approx(0.25, abs=1e-15)
+
+    def test_chart_rejects_a_state_of_another_dimension(self):
+        flat = FlowState(t=0.0, r=1.0, theta=(0.5,), tau=1.0, xi=0.0,
+                         zeta=(0.3,))
+        round_ = FlowState(t=0.0, r=1.0, theta=(0.5, 0.1), tau=1.0, xi=0.0,
+                           zeta=(0.3, 0.4))
+        with pytest.raises(ValueError):
+            zeta_norm_sq(round_, circle())
+        with pytest.raises(ValueError):
+            zeta_norm_sq(flat, sphere_chart())
 
     def test_characteristic_value_vanishes_on_characteristics(self):
         g = circle()
@@ -446,3 +456,137 @@ def test_wrappers_are_the_packed_field(sphere, r, phi, psi, tau, xi, z1, z2):
     for rhs, singular in ((hamilton_rhs, True), (rescaled_rhs, False)):
         assert _bits(_packed(rhs(s, g))) == _bits(
             geodesic._field(_packed(s), g, g.dim, singular))
+
+
+# The matrix form of each chart: numpy's inverse metric k^{ij}, its angle
+# derivatives d[l, i, j] = d k^{ij} / d theta_l, and the field built from
+# them with matmul and einsum. The charts' plain-float terms must round
+# exactly as this does; it is the reference, not a second implementation.
+def _matrix_chart(name, theta):
+    if name == "circle":
+        return np.ones((1, 1)), np.zeros((1, 1, 1))
+    s, c = math.sin(theta[0]), math.cos(theta[0])
+    d = np.zeros((2, 2, 2))
+    d[0, 1, 1] = -2.0 * c / s ** 3
+    return np.array([[1.0, 0.0], [0.0, 1.0 / (s * s)]]), d
+
+
+def _matrix_terms(name, theta, zeta):
+    k_inv, dk_inv = _matrix_chart(name, theta)
+    z = np.array(zeta)
+    kz = k_inv @ z
+    return kz.tolist(), float(z @ kz), \
+        np.einsum("lij,i,j->l", dk_inv, z, z).tolist()
+
+
+def _matrix_field(y, name, d, singular):
+    r, tau, xi = y[1], y[2 + d], y[3 + d]
+    kz, zkz, dz = (np.array(v) for v in _matrix_terms(name, y[2:2 + d],
+                                                     y[4 + d:]))
+    zkz = float(zkz)
+    if singular:
+        r2 = r ** 2
+        return [tau, -xi / r, *(kz / (2.0 * r2)).tolist(), 0.0,
+                -(xi ** 2 + zkz) / r2, *(-dz / (4.0 * r2)).tolist()]
+    return [r ** 2 * tau, -r * xi, *(kz / 2.0).tolist(), 0.0,
+            -(xi ** 2 + zkz), *(-dz / 4.0).tolist()]
+
+
+# sphere states whose |zeta|_k^2 the plain sum z0 z0 + kz1 z1 rounds
+# differently from BLAS's fused multiply-add
+FMA_STATES = ((0.396, 0.144, -0.537), (0.357, 0.03, -1.85),
+              (1.371, -1.721, -1.637))
+_signed = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0)),
+                    st.floats(-1e-160, 1e-160))
+
+
+def test_fma_states_need_the_fused_rounding():
+    for phi, z0, z1 in FMA_STATES:
+        s = math.sin(phi)
+        kz1 = 1.0 / (s * s) * z1
+        plain = z0 * z0 + kz1 * z1
+        assert plain != sphere_chart().terms((phi, 0.0), (z0, z1))[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sphere=st.booleans(), r=st.floats(0.01, 3.0), phi=st.floats(0.05, 3.09),
+       psi=st.floats(-3.0, 3.0), tau=st.floats(0.5, 2.0),
+       xi=st.floats(-2.0, 2.0), z1=_signed, z2=_signed)
+@example(sphere=True, r=1.1, phi=FMA_STATES[0][0], psi=0.2, tau=1.0, xi=0.3,
+         z1=FMA_STATES[0][1], z2=FMA_STATES[0][2])
+@example(sphere=True, r=0.7, phi=FMA_STATES[1][0], psi=-1.0, tau=1.3, xi=-0.4,
+         z1=FMA_STATES[1][1], z2=FMA_STATES[1][2])
+@example(sphere=True, r=2.0, phi=FMA_STATES[2][0], psi=2.5, tau=0.8, xi=1.5,
+         z1=FMA_STATES[2][1], z2=FMA_STATES[2][2])
+@example(sphere=True, r=1.0, phi=0.5, psi=0.0, tau=1.0, xi=0.0, z1=-0.0,
+         z2=-0.0)
+@example(sphere=False, r=1.0, phi=0.5, psi=0.0, tau=1.0, xi=0.0, z1=-0.0,
+         z2=0.0)
+def test_float_field_is_the_matrix_form(sphere, r, phi, psi, tau, xi, z1, z2):
+    if sphere:
+        g, theta, zeta = sphere_chart(), (phi, psi), (z1, z2)
+    else:
+        g, theta, zeta = circle(), (phi,), (z1,)
+    kz, zkz, dk = g.terms(theta, zeta)
+    want_kz, want_zkz, want_dk = _matrix_terms(g.name, theta, zeta)
+    assert _bits(kz) + _bits([zkz]) + _bits(dk) == \
+        _bits(want_kz) + _bits([want_zkz]) + _bits(want_dk)
+    y = _packed(FlowState(t=0.3, r=r, theta=theta, tau=tau, xi=xi,
+                          zeta=zeta))
+    for singular in (True, False):
+        assert _bits(geodesic._field(y, g, g.dim, singular)) == \
+            _bits(_matrix_field(y, g.name, g.dim, singular))
+
+
+PINNED_STARTS = {
+    "circle": FlowState(t=0.0, r=1.3, theta=(0.4,), tau=1.2, xi=-0.3,
+                        zeta=(0.7,)),
+    "sphere": FlowState(t=0.0, r=1.5, theta=(1.0, 0.3), tau=1.1, xi=0.2,
+                        zeta=(0.4, 0.7)),
+}
+
+
+class TestPinnedBits:
+    """Last states and sigma, as float.hex, of flows traced when the charts
+    still built numpy matrices; the float terms must not move a bit."""
+
+    @pytest.mark.parametrize("chart, system, last, sigma", [
+        ("circle", "full",
+         ["0x1.3333333333333p-1", "0x1.70d5dcae5c4b3p+0",
+          "0x1.f9d76f12b297ap-2", "0x1.3333333333333p+0",
+          "-0x1.e2ea7d6cbd5efp-2", "0x1.6666666666666p-1"],
+         "0x1.18c831ed770c3p+0"),
+        ("circle", "rescaled",
+         ["0x1.40f01d3ad42fap+0", "0x1.a3fb2ce50a3f7p+0",
+          "0x1.266666666665dp-1", "0x1.3333333333333p+0",
+          "-0x1.512c897ff2ab5p-1", "0x1.6666666666666p-1"],
+         "0x1.18c831ed7522ap+0"),
+        ("sphere", "full",
+         ["0x1.1999999999999p-1", "0x1.774ad1a4b20c8p+0",
+          "0x1.0c6f9c079584dp+0", "0x1.a3cad9b059698p-2",
+          "0x1.199999999999ap+0", "0x1.d0f2c01e2f160p-10",
+          "0x1.c9a183c54b024p-2", "0x1.6666666666666p-1"],
+         "0x1.a08944ab8c412p-1"),
+        ("sphere", "rescaled",
+         ["0x1.342e2f3e8290ep+0", "0x1.832688354b1dap+0",
+          "0x1.1cc15324a04aep+0", "0x1.105a84dcaf184p-1",
+          "0x1.199999999999ap+0", "-0x1.def96a3a3942dp-3",
+          "0x1.f86da843eb52ep-2", "0x1.6666666666666p-1"],
+         "0x1.a08944ab9665bp-1"),
+    ])
+    def test_integrate_flow(self, chart, system, last, sigma):
+        g = circle() if chart == "circle" else sphere_chart()
+        traj = integrate_flow(PINNED_STARTS[chart], g, 0.5, 1e-2, system)
+        assert len(traj.states) == 51
+        assert _bits(_packed(traj.states[-1])) == last
+        assert float(traj.sigma_values[-1]).hex() == sigma
+
+    def test_trace_through_origin(self):
+        s0 = radial_state(r=0.75, xi=0.75)
+        traj = trace_through_origin(s0, circle(), 1.5, 1e-2)
+        assert len(traj.states) == 152
+        assert _bits(_packed(traj.states[-1])) == [
+            "0x1.8000000000002p+0", "0x1.8000000000001p-1", "0x0.0p+0",
+            "0x1.0000000000000p+0", "-0x1.8000000000001p-1", "0x0.0p+0"]
+        assert float(traj.s_values[-1]).hex() == "0x1.8000000000000p+0"
+        assert min(st.r for st in traj.states).hex() == "0x1.47ae147ae1440p-21"

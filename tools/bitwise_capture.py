@@ -1,0 +1,158 @@
+"""Bit-level fingerprint of isqwave's phase-space and audit outputs.
+
+Run from anywhere, with the standard library and numpy:
+
+    python3 tools/bitwise_capture.py [TREE] > capture.json
+
+TREE is the root of an isqwave checkout (default: the one this file sits
+in); its src/ is imported first and its CLI runs with TREE as the working
+directory. The JSON printed holds
+
+    flows         float.hex digests of integrate_flow on both charts and
+                  both systems, and of one trace_through_origin
+    samples       digests of sample_states on the circle and the sphere
+    audits        per alpha of the tests' AUDIT_ALPHAS: a digest of the
+                  AuditScan stream (state, H_p a, label, audited) on both
+                  charts, and sign_audit's scanned, kept, max and counts
+    dual_route    the analytic and fd Hamilton derivatives, as hex
+    alpha_star    alpha_star() as hex
+    csv           sha256 of the --reproducible CSVs of `verify --quick`,
+                  `verify`, `symbol-audit` and `energy-audit`
+
+and nothing that names the tree, so comparing two trees is one `diff` of
+their captures.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
+STREAM = 4096               # AuditScan samples per alpha and chart
+CLI_RUNS = {
+    "verify-quick": ["verify", "--quick"],
+    "verify": ["verify"],
+    "symbol-audit": ["symbol-audit"],
+    "energy-audit": ["energy-audit"],
+}
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _digest(rows) -> dict:
+    h = hashlib.sha256()
+    n = 0
+    for row in rows:
+        h.update(repr(row).encode())
+        n += 1
+    return {"rows": n, "sha256": h.hexdigest()}
+
+
+def _state_row(st) -> tuple:
+    return tuple(_hex((st.t, st.r, *st.theta, st.tau, st.xi, *st.zeta)))
+
+
+def _trajectory(traj) -> dict:
+    rows = [_state_row(st) + (float(s).hex(), float(sg).hex())
+            for st, s, sg in zip(traj.states, traj.s_values,
+                                 traj.sigma_values)]
+    return {**_digest(rows), "last": rows[-1]}
+
+
+def flows(geo) -> dict:
+    FlowState = geo.FlowState
+    circle, sphere = geo.circle(), geo.sphere_chart()
+    starts = {
+        "circle": (circle, FlowState(t=0.0, r=1.3, theta=(0.4,), tau=1.2,
+                                     xi=-0.3, zeta=(0.7,))),
+        "sphere": (sphere, FlowState(t=0.0, r=1.5, theta=(1.0, 0.3), tau=1.1,
+                                     xi=0.2, zeta=(0.4, 0.7))),
+        "sphere-near-pole": (sphere, FlowState(t=0.0, r=1.2, theta=(0.35, 2.0),
+                                               tau=0.9, xi=0.4,
+                                               zeta=(-0.3, 0.6))),
+    }
+    out = {}
+    for name, (g, s0) in starts.items():
+        for system in ("full", "rescaled"):
+            traj = geo.integrate_flow(s0, g, 0.9, 1e-3, system)
+            out[f"{name}/{system}"] = _trajectory(traj)
+    strike = FlowState(t=0.0, r=0.75, theta=(0.0,), tau=1.0, xi=0.75,
+                       zeta=(0.0,))
+    out["trace_through_origin"] = _trajectory(
+        geo.trace_through_origin(strike, circle, 1.5, 1e-3))
+    return out
+
+
+def samples(geo, en) -> dict:
+    p = en.CommutantParams(alpha=2.487)
+    return {name: _digest(_state_row(st)
+                          for st in en.sample_states(p, 17, 3000, g))
+            for name, g in (("circle", geo.circle()),
+                            ("sphere", geo.sphere_chart()))}
+
+
+def audits(geo, en) -> dict:
+    out = {}
+    for alpha in AUDIT_ALPHAS:
+        p = en.CommutantParams(alpha=alpha)
+        entry = {}
+        for name, g in (("circle", geo.circle()),
+                        ("sphere", geo.sphere_chart())):
+            scan = en.AuditScan(p, g)
+            rows = (_state_row(st) + (float(v).hex(), label, audited)
+                    for st, v, label, audited in scan.samples(0, STREAM))
+            entry[f"stream/{name}"] = {
+                **_digest(rows), "kept": scan.kept,
+                "max": float(scan.max_value).hex(),
+                "counts": dict(sorted(scan.counts.items()))}
+        res = en.sign_audit(p, min_kept=1500)
+        entry["sign_audit"] = {"scanned": res.scanned, "kept": res.kept,
+                               "max": res.max_value.hex(),
+                               "counts": dict(sorted(res.counts.items()))}
+        out[repr(alpha)] = entry
+    return out
+
+
+def dual_route(geo, en) -> list:
+    p, g = en.CommutantParams(alpha=4.0), geo.circle()
+    return [_hex((en.hamilton_derivative_symbol(p, st, g)[0],
+                  en.hamilton_derivative_symbol(p, st, g, method="fd")[0]))
+            for st in en.sample_states(p, 0x5EED, 40, g)]
+
+
+def csv_digests(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = {}
+    for name, args in CLI_RUNS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "isqwave.cli", *args, "--reproducible"],
+            cwd=tree, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL)
+        out[name] = {"exit": proc.returncode,
+                     "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+    return out
+
+
+def main(argv: list) -> int:
+    tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    if not (tree / "src" / "isqwave" / "__init__.py").is_file():
+        raise SystemExit(f"bitwise_capture: no isqwave package under {tree / 'src'}")
+    sys.path.insert(0, str(tree / "src"))
+    from isqwave import energy as en, geodesic as geo
+
+    out = {"flows": flows(geo), "samples": samples(geo, en),
+           "audits": audits(geo, en), "dual_route": dual_route(geo, en),
+           "alpha_star": en.alpha_star().hex(), "csv": csv_digests(tree)}
+    print(json.dumps(out, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
