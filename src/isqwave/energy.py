@@ -57,7 +57,7 @@ class PositivityFailure(EnergyError):
 
 
 class TauUnderflow(EnergyError):
-    """tau ** 2 or r^2 tau underflows to zero: a ratio cannot be formed."""
+    """tau ** 2, r^2 or r^2 tau underflows to zero: a ratio cannot be formed."""
 
 
 class SymbolOverflow(EnergyError):
@@ -511,8 +511,11 @@ def _setup(p: CommutantParams, point, g: SphereMetric) -> tuple:
     e1 = 1.0 < x1 < 2.0
     e2 = 1.0 < abs(sig / p.delta) < 2.0
     edge_step = (0.0 < yr < 1.0) or (0.0 < yt < 1.0)
+    r2 = point.r ** 2
+    if r2 == 0.0:
+        raise TauUnderflow(f"r^2 underflows at r={point.r!r}")
     # characteristic_value(point, g) < delta
-    dominated = point.tau ** 2 - (point.xi ** 2 + zq) / point.r ** 2 < p.delta
+    dominated = point.tau ** 2 - (point.xi ** 2 + zq) / r2 < p.delta
     if (e1 and e2) or (edge_step and not dominated):
         label = "mixed"
     elif e1 or e2:

@@ -11,12 +11,17 @@ integer: that is the observable this module exists to measure.
 
 Each region integral is one numpy-ufunc integrand, for arrays and scalars alike, run by
 quadrature.integrate_smooth: its Gauss-Legendre ladder, or adaptive GK15 next to a cone.
+Only cos(nu * phase) (exp(-nu * phase) in the diffractive integral) depends on the mode.
+The other node terms are tabulated per point and rule size once a second mode visits the
+point, for the last few points, so a mode sum pays for them once; every value is
+the double the untabulated integrand gives.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,10 @@ from .specfun import bessel_j, legendre_q_shifted
 
 _INNER_TOL = 1e-11          # quadrature tolerance inside kernel integrals
 EPS_CONE_FACTOR = 1e-6      # default cone band is this times (r1 + r2 + t)
+_BETA_SCALED = math.asinh(sys.float_info.max / 4.0)  # diffractive_integral rescales here
+_TABLE_POINTS = 8           # keys whose node tables are kept, ~48 kB each at most
+_node_tables: dict = {}     # key -> {rule size: factors}, oldest key first
+_seen_once: dict = {}       # keys integrated once: a second integral tabulates
 
 
 class KernelError(Exception):
@@ -97,6 +106,39 @@ def classify_region(p: KernelPoint, eps_cone: float | None = None) -> Region:
     return Region.III
 
 
+def _integrate_modes(key, factors, wave, rate: float, a: float, b: float) -> float:
+    """integrate_smooth over [a, b] at _INNER_TOL of weight * wave(rate * phase)
+    / root, where (weight, phase, root) = factors(x) (weight None: 1) are the
+    node terms that do not depend on the mode; key names the geometry they do
+    depend on. From a key's second integral on they are kept per rule size, so
+    a further mode costs one wave and two products per ladder rung. Scalar
+    nodes (the adaptive fallback) always form them in place. A first integral
+    frees no tables, so a run of distinct points costs no more than without."""
+    tables = _node_tables.get(key)
+    if tables is None and _seen_once.pop(key, False):
+        if len(_node_tables) >= _TABLE_POINTS:
+            del _node_tables[next(iter(_node_tables))]
+        tables = _node_tables[key] = {}
+    elif tables is None:
+        if len(_seen_once) >= _TABLE_POINTS:
+            _seen_once.clear()
+        _seen_once[key] = True
+
+    def integrand(x):
+        if tables is None or isinstance(x, float):
+            weight, phase, root = factors(x)
+        else:
+            fx = tables.get(len(x))
+            if fx is None:
+                fx = tables[len(x)] = factors(x)
+            weight, phase, root = fx
+        if weight is None:
+            return wave(rate * phase) / root
+        return weight * wave(rate * phase) / root
+
+    return integrate_smooth(integrand, a, b, _INNER_TOL).value
+
+
 def _region_ii_value(nu: float, p: KernelPoint) -> float:
     # (1/pi) int_0^{s*} cos(nu s) D(s)^{-1/2} ds with
     # D(s) = t^2 - r1^2 - r2^2 + 2 r1 r2 cos s = 4 r1 r2 sin((s*+s)/2) sin((s*-s)/2),
@@ -109,13 +151,13 @@ def _region_ii_value(nu: float, p: KernelPoint) -> float:
     s_star = math.acos(min(1.0, max(-1.0, arg)))
     c = 4.0 * r1 * r2
 
-    def integrand(w):
+    def factors(w):
         w2 = w * w
-        den = c * np.sin(s_star - 0.5 * w2) * np.sin(0.5 * w2)
-        return 2.0 * w * np.cos(nu * (s_star - w2)) / np.sqrt(den)
+        half = 0.5 * w2
+        return 2.0 * w, s_star - w2, np.sqrt(c * np.sin(s_star - half) * np.sin(half))
 
-    res = integrate_smooth(integrand, 0.0, math.sqrt(s_star), _INNER_TOL)
-    return res.value / math.pi
+    return _integrate_modes(("II", s_star, c), factors, np.cos, nu,
+                            0.0, math.sqrt(s_star)) / math.pi
 
 
 def diffractive_integral(nu: float, beta: float) -> float:
@@ -125,36 +167,48 @@ def diffractive_integral(nu: float, beta: float) -> float:
     beta -> 0+ limit and the value at any fixed beta > 0 sits about
     nu*beta below it.
     The difference of hyperbolic cosines is formed as a product of sinh
-    factors so the inverse square root stays accurate near s = beta.
+    factors so the inverse square root stays accurate near s = beta. From
+    beta = asinh(DBL_MAX / 4) ~ 709.09 on, where 4 sinh(beta) overflows, the
+    product is e^beta times two expm1 factors: the integral of the rest is
+    scaled by e^(-beta/2), and underflows to 0 from beta ~ 1490 on.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if nu < 0:
         raise ValueError("nu must be >= 0")
+    scaled = beta >= _BETA_SCALED
 
     # s = beta - w^2 as in the region-II integral: sinh((beta-s)/2) becomes
     # sinh(w^2/2), formed from w directly.
-    def integrand(w):
+    def factors(w):
         w2 = w * w
-        den = 4.0 * np.sinh(beta - 0.5 * w2) * np.sinh(0.5 * w2)
-        return 2.0 * w * np.exp(-nu * (beta - w2)) / np.sqrt(den)
+        if scaled:
+            den = np.expm1(w2 - 2.0 * beta) * np.expm1(-w2)
+        else:
+            half = 0.5 * w2
+            den = 4.0 * np.sinh(beta - half) * np.sinh(half)
+        return 2.0 * w, beta - w2, np.sqrt(den)
 
-    res = integrate_smooth(integrand, 0.0, math.sqrt(beta), _INNER_TOL)
-    return res.value
+    value = _integrate_modes(("diffractive", beta), factors, np.exp, -nu,
+                             0.0, math.sqrt(beta))
+    return value * math.exp(-0.5 * beta) if scaled else value
 
 
 def _region_iii_value(nu: float, p: KernelPoint) -> float:
     # Same integral with s* = pi (now regular at both ends), minus the
     # diffractive term (1/pi)(r1 r2)^(-1/2) sin(pi nu) * diffractive_integral.
+    # c (2 cosh(beta) + 2 cos(s)) is formed as 2c (cosh(beta) + cos(s)): the
+    # same double short of overflow, as the factors of 2 are exact.
     r1, r2, t = p.r1, p.r2, p.t
     z = (t * t - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
     beta = math.acosh(z)
     c = r1 * r2
+    two_c, cosh_beta = 2.0 * c, math.cosh(beta)
 
-    def integrand(s):
-        return np.cos(nu * s) / np.sqrt(c * (2.0 * math.cosh(beta) + 2.0 * np.cos(s)))
+    def factors(s):
+        return None, s, np.sqrt(two_c * (cosh_beta + np.cos(s)))
 
-    main = integrate_smooth(integrand, 0.0, math.pi, _INNER_TOL).value
+    main = _integrate_modes(("III", beta, c), factors, np.cos, nu, 0.0, math.pi)
     diff = math.sin(math.pi * nu) * diffractive_integral(nu, beta) / math.sqrt(c)
     return (main - diff) / math.pi
 

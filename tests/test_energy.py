@@ -488,6 +488,20 @@ class TestClassification:
         with pytest.raises(en.TauUnderflow):
             en._evaluate(params(), [state(), pt], circle())
 
+    def test_r_squared_underflow_is_a_typed_error(self):
+        # r^2 = 1e-340 underflows to 0, and the momentum ratio of the
+        # domination test divides by it, on the scalar and batch paths; the
+        # symbol divides by nothing there
+        pt = FlowState(t=0.0, r=1e-170, theta=(0.0,), tau=1.5, xi=0.0,
+                       zeta=(0.0,))
+        with pytest.raises(en.TauUnderflow):
+            en.classify_point(params(), pt)
+        with pytest.raises(en.TauUnderflow):
+            en.hamilton_derivative_symbol(params(), pt)
+        with pytest.raises(en.TauUnderflow):
+            en._evaluate(params(), [state(), pt], circle())
+        assert en.commutant_symbol(params(), pt) > 0.0
+
     @pytest.mark.parametrize("p, pt", [
         # tau ** 2 overflows
         (params(), FlowState(t=0.0, r=1.0, theta=(0.0,), tau=1e200, xi=1e200,

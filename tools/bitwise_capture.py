@@ -1,4 +1,4 @@
-"""Bit-level fingerprint of isqwave's phase-space and audit outputs.
+"""Bit-level fingerprint of isqwave's kernel, phase-space and audit outputs.
 
 Run from anywhere, with the standard library and numpy:
 
@@ -16,6 +16,12 @@ directory. The JSON printed holds
                   charts, and sign_audit's scanned, kept, max and counts
     dual_route    the analytic and fd Hamilton derivatives, as hex
     alpha_star    alpha_star() as hex
+    kernel        digests of mode_kernel over the benchmark's mode-sum
+                  ranges (a = 0, every mode n <= 300 between the cones and
+                  n <= 150 behind the outer cone, in order, at seeded
+                  points), of cone_limits at seeded jump-range draws, of
+                  synthesize_kernel in both regions, and one
+                  oracle.mollified_kernel as hex
     csv           sha256 of the --reproducible CSVs of `verify --quick`,
                   `verify`, `symbol-audit` and `energy-audit`
 
@@ -27,7 +33,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +135,34 @@ def dual_route(geo, en) -> list:
             for st in en.sample_states(p, 0x5EED, 40, g)]
 
 
+def kernel_values(ker, orc) -> dict:
+    rng = random.Random(0x4B45)
+    mode_sums = []
+    for region, n_max in (("II", 300), ("III", 150)):
+        for _ in range(4):
+            r1, r2 = rng.uniform(0.6, 1.4), rng.uniform(0.6, 1.4)
+            if region == "II":
+                s_star = rng.uniform(1.2, 2.0)
+                t = math.sqrt(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(s_star))
+            else:
+                t = (r1 + r2) * rng.uniform(1.1, 1.6)
+            p = ker.KernelPoint(r1, r2, t)
+            mode_sums.append(_hex(ker.mode_kernel(ker.mode_params(n, 0.0), p)
+                                  for n in range(n_max + 1)))
+    jumps = []
+    for _ in range(12):
+        r2 = rng.uniform(0.5, 1.5)
+        m = ker.mode_params(rng.randrange(4), rng.uniform(0.05, 3.95))
+        jumps.append(float(ker.cone_limits(m, r2, r2 + rng.uniform(0.5, 1.5))).hex())
+    synth = {region: ker.synthesize_kernel(0.3, ker.KernelPoint(1.1, 0.8, t),
+                                           0.4, 60).hex()
+             for region, t in (("II", 1.4), ("III", 2.6))}
+    mollified = orc.mollified_kernel(ker.mode_params(0, 0.3),
+                                     ker.KernelPoint(0.7, 1.0, 2.0), 0.02, 1e-3)
+    return {"mode_sums": _digest(mode_sums), "cone_limits": _digest(jumps),
+            "synthesize": synth, "mollified": float(mollified).hex()}
+
+
 def csv_digests(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = {}
@@ -145,11 +181,12 @@ def main(argv: list) -> int:
     if not (tree / "src" / "isqwave" / "__init__.py").is_file():
         raise SystemExit(f"bitwise_capture: no isqwave package under {tree / 'src'}")
     sys.path.insert(0, str(tree / "src"))
-    from isqwave import energy as en, geodesic as geo
+    from isqwave import energy as en, geodesic as geo, kernel as ker, oracle as orc
 
     out = {"flows": flows(geo), "samples": samples(geo, en),
            "audits": audits(geo, en), "dual_route": dual_route(geo, en),
-           "alpha_star": en.alpha_star().hex(), "csv": csv_digests(tree)}
+           "alpha_star": en.alpha_star().hex(),
+           "kernel": kernel_values(ker, orc), "csv": csv_digests(tree)}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
