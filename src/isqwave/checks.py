@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from .energy import (CommutantParams, _norm_terms, _sphere_gap_sq, alpha_star,
-                     constant_potential, hamilton_derivative_symbol,
-                     hardy_check, random_suite, sample_states, sign_audit)
+from .energy import (CommutantParams, _norm_constants, _norm_terms,
+                     alpha_star, constant_potential,
+                     hamilton_derivative_symbol, hardy_check, random_suite,
+                     sample_states, sign_audit)
 from .geodesic import (FlowState, OriginReached, circle, integrate_flow,
                        sec_envelope_bound)
 from .hankel import (RadialField, RadialGrid, apply_radial_operator,
@@ -150,16 +151,13 @@ def parametrization_gap(step: float) -> float:
 def norm_equivalence(suite, n: int, f0: float):
     """(c1, c2, min Q/|grad u|^2, max Q/|grad u|^2) over the suite, for the
     constant potential f0; c1 takes delta^2 as its minimum over the radii
-    that carry the suite's mass, as `energy.norm_equivalence_check` does."""
-    lam = 0.5 * (n - 2)
+    that carry the suite's mass."""
     fpot = constant_potential(f0)
     terms = [_norm_terms(tf, fpot, n) for tf in suite]
-    delta_sq = _sphere_gap_sq(
+    c1, c2, _ = _norm_constants(
         fpot, np.concatenate([radii for _, _, radii in terms]), n)
-    sup = fpot.sup_bound
     quots = [q / grad for q, grad, _ in terms]
-    return (delta_sq / (delta_sq + sup), 1.0 + sup / (lam * lam),
-            min(quots), max(quots))
+    return c1, c2, min(quots), max(quots)
 
 
 def dual_route_gap(alpha: float, count: int, seed: int) -> float:

@@ -433,7 +433,7 @@ def cmd_symbol_audit(cfg: RunConfig, sink: CsvSink) -> int:
     sink.meta("alpha", alpha)
     sink.header(("t", "r", "theta", "tau", "xi", "zeta", "classification",
                  "value"))
-    for st, value, label, _ in scan.samples(cfg.seed, p["count"]):
+    for st, value, label, _ in scan.scan(cfg.seed, p["count"]):
         sink.row((st.t, st.r, st.theta[0], st.tau, st.xi, st.zeta[0],
                   label, value))
     sink.meta("max_main_good", scan.max_value)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -143,10 +142,14 @@ def constant_potential(c: float) -> PotentialProfile:
         sup_bound=abs(c), lower_bound=c)
 
 
+@functools.cache
 def polar_quadrature(count: int = 32):
-    """Gauss-Legendre nodes and weights mapped to the polar interval (0, pi)."""
+    """Gauss-Legendre nodes and weights mapped to the polar interval (0, pi),
+    built once per count and shared read-only."""
     x, w = np.polynomial.legendre.leggauss(count)
-    return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
+    nodes, weights = (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _area_coeff(n: int) -> float:
@@ -270,16 +273,19 @@ def sphere_min_eigenvalue(f, n: int, m: int = 200) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-def _support_radii(tf: TestFunction, n: int, max_radii: int = 64,
+_MAX_RADII = 64             # support radii sampled for the sphere gap
+
+
+def _support_radii(tf: TestFunction, n: int,
                    aw: Optional[np.ndarray] = None) -> np.ndarray:
-    """Radii of the rows carrying u's mass, at most max_radii of them,
+    """Radii of the rows carrying u's mass, at most _MAX_RADII of them,
     evenly picked; aw is the angular rule, built here when not given."""
     row_mass = tf.u ** 2 @ (_weights_for(tf, n) if aw is None else aw)
     supported = np.nonzero(row_mass > 1e-12 * row_mass.max())[0]
     if supported.size == 0:
         raise ValueError("zero test function")
-    if supported.size > max_radii:
-        pick = np.linspace(0, supported.size - 1, max_radii).astype(int)
+    if supported.size > _MAX_RADII:
+        pick = np.linspace(0, supported.size - 1, _MAX_RADII).astype(int)
         supported = supported[np.unique(pick)]
     return tf.r[supported]
 
@@ -301,33 +307,32 @@ def _sphere_gap_sq(f: PotentialProfile, radii, n: int, m: int = 200) -> float:
                for row in distinct.values()) + lam * lam
 
 
-def _norm_terms(tf: TestFunction, f: PotentialProfile, n: int,
-                max_radii: int = 64):
+def _norm_terms(tf: TestFunction, f: PotentialProfile, n: int):
     """(Q(u), gradient energy, support radii) on one angular rule."""
     aw = _weights_for(tf, n)
-    return (*_form_and_gradient(tf, f, n, aw),
-            _support_radii(tf, n, max_radii, aw))
+    return (*_form_and_gradient(tf, f, n, aw), _support_radii(tf, n, aw))
 
 
-def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
-                           eig_m: int = 200, max_radii: int = 64):
-    """Two-sided comparison of Q(u) with the gradient energy.
-
-    The upper constant is c2 = 1 + sup|f| / lambda^2 with lambda = (n-2)/2.
-    The lower constant comes from delta^2, the minimum eigenvalue of the
-    sphere operator -Laplacian + f(r, .) + lambda^2 minimized over radii in
-    the support of u (sampled on at most max_radii of them); then
-    c1 = delta^2 / (delta^2 + sup|f|).  Returns (c1_ok, c2_ok, delta_est).
-    """
-    lam = (n - 2) / 2.0
-    q, grad, radii = _norm_terms(tf, f, n, max_radii)
+def _norm_constants(f: PotentialProfile, radii, n: int, eig_m: int = 200):
+    """(c1, c2, delta^2) of the norm equivalence c1 |grad u|^2 <= Q(u) <=
+    c2 |grad u|^2 for u supported on radii: delta^2 is _sphere_gap_sq,
+    c1 = delta^2 / (delta^2 + sup|f|), c2 = 1 + sup|f| / lambda^2 with
+    lambda = (n-2)/2.  Raises PositivityFailure when delta^2 <= 0."""
     delta_sq = _sphere_gap_sq(f, radii, n, eig_m)
     if delta_sq <= 0.0:
         raise PositivityFailure(
             f"sphere operator minimum eigenvalue {delta_sq:.3e} <= 0")
-    sup = f.sup_bound
-    c2 = 1.0 + sup / lam ** 2
-    c1 = delta_sq / (delta_sq + sup)
+    sup, lam = f.sup_bound, (n - 2) / 2.0
+    return delta_sq / (delta_sq + sup), 1.0 + sup / lam ** 2, delta_sq
+
+
+def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
+                           eig_m: int = 200):
+    """Two-sided comparison of Q(u) with the gradient energy, against the
+    _norm_constants of the radii in the support of u (at most _MAX_RADII of
+    them).  Returns (c1_ok, c2_ok, delta_est)."""
+    q, grad, radii = _norm_terms(tf, f, n)
+    c1, c2, delta_sq = _norm_constants(f, radii, n, eig_m)
     slack = 1e-10
     c1_ok = c1 * grad <= q * (1.0 + slack) + slack
     c2_ok = q <= c2 * grad * (1.0 + slack) + slack
@@ -615,13 +620,27 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
 # quasi-random sign audit
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
-_Point = namedtuple("_Point", "t r theta tau xi zeta")
 
 
-def _sample_points(p: CommutantParams, start: int, count: int,
-                   dim: int) -> list:
-    # sample_states' points as unchecked _Points: radical inverses of all int64
-    # indices at once (f /= b; q += f * (i % b); i //= b), correctly rounded ops
+def sample_states(p: CommutantParams, start: int, count: int,
+                  g: Optional[SphereMetric] = None) -> list:
+    """Halton points start + 1 .. start + count mapped onto the open support
+    of the commutant.
+
+    The symbol is zero outside the set carved by its cutoffs, and every
+    cutoff is flat at its support edge, so the derivative audit only needs
+    interior points.  The map draws xi_hat inside the live band, then r and
+    t inside the step-cutoff credit alpha xi_hat + 2 delta, then |zeta_hat|
+    inside the characteristic-surface band; that makes essentially every
+    sample land where the symbol is positive.  Where that band is empty
+    (possible for delta > 1/2) zeta_hat is 0, off the support.  Halton
+    drives the map, so the scan is deterministic (indices from 2**63 on
+    raise OverflowError).  Extra chart angles beyond the first are pinned
+    to mid-chart.
+    """
+    g = circle() if g is None else g
+    # radical inverses of all int64 indices at once (f /= b; q += f * (i % b);
+    # i //= b), correctly rounded ops
     idx = np.array(range(start + 1, start + count + 1), dtype=np.int64).clip(0)
     q = []
     for b in _HALTON_BASES:
@@ -638,31 +657,17 @@ def _sample_points(p: CommutantParams, start: int, count: int,
     r = np.maximum(1e-3, np.sqrt(q[0] * credit))
     t = p.t0 + (2.0 * q[3] - 1.0) * np.sqrt(credit)
     band_lo = np.maximum(0.0, r * r - xh * xh - two_d)
-    band_hi = r * r - xh * xh + two_d
+    band_hi = np.maximum(band_lo, r * r - xh * xh + two_d)
     tau = p.tau0 + 2.0 * q[4]
     zeta = np.sqrt(band_lo + q[2] * (band_hi - band_lo)) * tau
-    pad_theta, pad_zeta = (math.pi / 2.0,) * (dim - 1), (0.0,) * (dim - 1)
-    return [_Point(*row[:2], (row[2],) + pad_theta, row[3], row[4],
-                   (row[5],) + pad_zeta)
-            for row in zip(t.tolist(), r.tolist(), (2.0 * math.pi * q[5]).tolist(),
-                           tau.tolist(), (xh * tau).tolist(), zeta.tolist())]
-
-
-def sample_states(p: CommutantParams, start: int, count: int,
-                  g: Optional[SphereMetric] = None):
-    """Halton points mapped onto the open support of the commutant.
-
-    The symbol is zero outside the set carved by its cutoffs, and every
-    cutoff is flat at its support edge, so the derivative audit only needs
-    interior points.  The map draws xi_hat inside the live band, then r and
-    t inside the step-cutoff credit alpha xi_hat + 2 delta, then |zeta_hat|
-    inside the characteristic-surface band; that makes essentially every
-    sample land where the symbol is positive.  Halton drives the map, so
-    the scan is deterministic (indices from 2**63 on raise OverflowError).
-    Extra chart angles beyond the first are pinned to mid-chart.
-    """
-    g = circle() if g is None else g
-    return [FlowState(*pt) for pt in _sample_points(p, start, count, g.dim)]
+    cols = (t, r, 2.0 * math.pi * q[5], tau, xh * tau, zeta)
+    if not all(np.isfinite(c).all() for c in cols):
+        # overflow from huge parameters: checked once here, not per state
+        raise ValueError("flow state must be finite")
+    pad_theta, pad_zeta = (math.pi / 2.0,) * (g.dim - 1), (0.0,) * (g.dim - 1)
+    return [FlowState._make((t, r, (theta,) + pad_theta, tau, xi,
+                             (z,) + pad_zeta))
+            for t, r, theta, tau, xi, z in zip(*(c.tolist() for c in cols))]
 
 
 @dataclass(frozen=True)
@@ -687,7 +692,7 @@ class AuditScan:
         """Evaluate and tally Halton samples start + 1 .. start + count as
         one batch: (point, H_p a, label, audited) each; audited marks the
         points held to H_p a <= 0 ("main b2" or "good-sign g", a > 0)."""
-        points = _sample_points(self.p, start, count, self.g.dim)
+        points = sample_states(self.p, start, count, self.g)
         rows = [(pt, value, label, label in ("main b2", "good-sign g")
                  and a > 0.0) for pt, (a, value, label)
                 in zip(points, _evaluate(self.p, points, self.g))]
@@ -699,14 +704,14 @@ class AuditScan:
         self.scanned += len(rows)
         return rows
 
-    def samples(self, start: int, count: int) -> list:
-        """`scan`, with each point a FlowState."""
-        return [(FlowState(*pt), *rest) for pt, *rest in self.scan(start, count)]
+
+_MAX_SCAN = 4_000_000       # samples sign_audit scans before giving up
+_ALPHA_TOL = 1e-12          # alpha_star's pass rule: max H_p a <= this
+_BISECTIONS = 20            # alpha_star's bisection steps
 
 
 def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
-               min_kept: int = 10000, batch: int = 2048,
-               max_scan: int = 4_000_000) -> AuditResult:
+               min_kept: int = 10000, batch: int = 2048) -> AuditResult:
     """Maximum of the analytic Hamilton derivative over the audited region.
 
     Scans Halton samples, `batch` at a time through `AuditScan.scan`, until
@@ -717,7 +722,7 @@ def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
     """
     scan = AuditScan(p, g)
     while scan.kept < min_kept:
-        if scan.scanned >= max_scan:
+        if scan.scanned >= _MAX_SCAN:
             raise EnergyError(f"audit kept only {scan.kept} of "
                               f"{scan.scanned} samples; box too sparse")
         scan.scan(scan.scanned, batch)
@@ -727,8 +732,7 @@ def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
 
 def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
                tau0: float = 1.0, g: Optional[SphereMetric] = None,
-               probe_kept: int = 3000, verify_kept: int = 10000,
-               tol: float = 1e-12, bisections: int = 20) -> float:
+               probe_kept: int = 3000, verify_kept: int = 10000) -> float:
     """Empirical alpha threshold making the audited region nonpositive.
 
     Doubles alpha until a probe audit passes, bisects down to the observed
@@ -738,7 +742,7 @@ def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
 
     def passes(alpha: float, kept: int) -> bool:
         p = CommutantParams(C=C, delta=delta, alpha=alpha, t0=t0, tau0=tau0)
-        return sign_audit(p, g, min_kept=kept).max_value <= tol
+        return sign_audit(p, g, min_kept=kept).max_value <= _ALPHA_TOL
 
     lo, hi = 0.0, 1.0
     while not passes(hi, probe_kept):
@@ -746,7 +750,7 @@ def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
         hi *= 2.0
         if hi > 1e9:
             raise EnergyError("no dominating alpha below 1e9")
-    for _ in range(bisections):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if passes(mid, probe_kept) else (mid, hi)
     alpha = hi
@@ -772,8 +776,7 @@ def radial_test_function(fn, dfn, r: np.ndarray, n_phi: int = 32) -> TestFunctio
                         du_phi=np.zeros_like(u))
 
 
-def sharpness_profile(n: int, eps: float, points: int = 6000,
-                      n_phi: int = 8) -> TestFunction:
+def sharpness_profile(n: int, eps: float) -> TestFunction:
     """Log-radius Gaussian concentrated at the critical decay exponent.
 
     u = r^{-(n-2)/2} exp(-eps^2 ln^2 r / 2) on a log grid wide enough that
@@ -785,13 +788,13 @@ def sharpness_profile(n: int, eps: float, points: int = 6000,
         raise ValueError("eps must be positive")
     lam = (n - 2) / 2.0
     span = 7.0 / eps
-    x = np.linspace(-span, span, points)
+    x = np.linspace(-span, span, 6000)
     r = np.exp(x)
     gauss = np.exp(-0.5 * eps ** 2 * x ** 2)
     return radial_test_function(
         lambda rr: r ** (-lam) * gauss,
         lambda rr: r ** (-lam - 1.0) * gauss * (-lam - eps ** 2 * x), r,
-        n_phi=n_phi)
+        n_phi=8)
 
 
 def _bump_and_slope(x: np.ndarray, width: float):
@@ -804,20 +807,19 @@ def _bump_and_slope(x: np.ndarray, width: float):
     return out, slope / width
 
 
-def random_suite(n: int, count: int = 20, seed: int = 0x5EED,
-                 r_points: int = 1200, n_phi: int = 32):
+def random_suite(n: int, count: int = 20, seed: int = 0x5EED):
     """Randomized compactly supported test functions for the inequality suites.
 
     Each function is a few radial bumps times a constant or cos(phi) axial
     harmonic, with signed random coefficients; supports stay inside (0, 1).
     """
     rng = np.random.default_rng(seed)
-    r = np.linspace(1e-4, 1.0, r_points)
-    phi, _ = polar_quadrature(n_phi)
+    r = np.linspace(1e-4, 1.0, 1200)
+    phi, _ = polar_quadrature(32)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     suite = []
     for _ in range(count):
-        u, du_r, du_phi = (np.zeros((r_points, n_phi)) for _ in range(3))
+        u, du_r, du_phi = (np.zeros((r.size, phi.size)) for _ in range(3))
         for _ in range(int(rng.integers(2, 4))):
             c = rng.uniform(0.3, 1.0) * rng.choice((-1.0, 1.0))
             center = rng.uniform(0.2, 0.7)

@@ -10,17 +10,17 @@ exist to demonstrate.
 
 Both systems are one field, `_field`, on a packed state: the flat list of
 floats [t, r, *theta, tau, xi, *zeta]. `integrate_flow` runs RK4 on that
-list, four field evaluations per substep, and builds a `FlowState` only
-where it records a sample; `hamilton_rhs` and `rescaled_rhs` wrap the
-field for single states. A chart (`SphereMetric`) hands the field its
-metric terms as plain floats, each rounded as numpy's matrix form rounds it.
+list, checked finite after every step, and records a sample as a `FlowState`
+built unchecked; `hamilton_rhs` and `rescaled_rhs` wrap the field for single
+states. A chart (`SphereMetric`) hands the field its metric terms as plain
+floats, each rounded as numpy's matrix form rounds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,23 +53,22 @@ class OriginReached(GeodesicError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True)
-class FlowState:
-    t: float
-    r: float
-    theta: tuple
-    tau: float
-    xi: float
-    zeta: tuple
+class FlowState(NamedTuple("FlowState", [("t", float), ("r", float),
+                                          ("theta", tuple), ("tau", float),
+                                          ("xi", float), ("zeta", tuple)])):
+    """A phase-space point. The constructor makes theta and zeta tuples of
+    floats of one dimension and refuses non-finite fields; `_make` and
+    `_replace` skip those checks, for values already checked."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(x) for x in self.theta))
-        object.__setattr__(self, "zeta", tuple(float(x) for x in self.zeta))
-        if len(self.theta) != len(self.zeta):
+    def __new__(cls, t, r, theta, tau, xi, zeta):
+        theta = tuple(float(x) for x in theta)
+        zeta = tuple(float(x) for x in zeta)
+        if len(theta) != len(zeta):
             raise ValueError("theta and zeta must have equal dimension")
-        vals = (self.t, self.r, self.tau, self.xi) + self.theta + self.zeta
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, (t, r, tau, xi, *theta, *zeta))):
             raise ValueError("flow state must be finite")
+        return super().__new__(cls, t, r, theta, tau, xi, zeta)
 
     @property
     def xi_hat(self) -> float:
@@ -148,8 +147,9 @@ def _pack(state: FlowState) -> list:
     return [state.t, state.r, *state.theta, state.tau, state.xi, *state.zeta]
 
 
-def _unpack(y: list, d: int) -> FlowState:
-    return FlowState(y[0], y[1], y[2:2 + d], y[2 + d], y[3 + d], y[4 + d:])
+def _unpack(y: list, d: int) -> tuple:
+    # the FlowState fields of a packed state
+    return y[0], y[1], tuple(y[2:2 + d]), y[2 + d], y[3 + d], tuple(y[4 + d:])
 
 
 def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:
@@ -162,7 +162,7 @@ def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     Hamiltonian pairing).
     """
     d = len(state.theta)
-    return _unpack(_field(_pack(state), g, d, True), d)
+    return FlowState(*_unpack(_field(_pack(state), g, d, True), d))
 
 
 def rescaled_rhs(state: FlowState, g: SphereMetric) -> FlowState:
@@ -171,7 +171,7 @@ def rescaled_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     xi' = -(xi^2 + |zeta|^2), zeta_l' = -(d_theta_l k^{ij}) zeta_i zeta_j/4.
     """
     d = len(state.theta)
-    return _unpack(_field(_pack(state), g, d, False), d)
+    return FlowState(*_unpack(_field(_pack(state), g, d, False), d))
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
             while s < target - 1e-15 * s_span:
                 r, xi = y[1], y[3 + d]
                 if singular and r < ORIGIN_RADIUS and xi > 0:
-                    record(_unpack(y, d))
+                    record(FlowState._make(_unpack(y, d)))
                     return finish(f"r={r:.3e} below origin threshold")
                 k1 = stage(y)
                 h = target - s
@@ -270,7 +270,7 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
                     raise StepUnderflow(f"flow diverged at s={s:.6g}")
                 s += h
                 substeps += 1
-            record(_unpack(y, d))
+            record(FlowState._make(_unpack(y, d)))
     return finish()
 
 
@@ -305,8 +305,10 @@ def trace_through_origin(s0: FlowState, g: SphereMetric, s_span: float,
         else:
             struck = False
         for st, sv, sg in zip(leg.states, leg.s_values, leg.sigma_values):
-            states.append(FlowState(t=st.t + t_off, r=st.r, theta=st.theta,
-                                    tau=st.tau, xi=st.xi, zeta=st.zeta))
+            t = st.t + t_off
+            if not math.isfinite(t):
+                raise ValueError("flow state must be finite")
+            states.append(st._replace(t=t))
             ss.append(sv + s_off)
             sigmas.append(sg)
         if not struck:
@@ -318,8 +320,7 @@ def trace_through_origin(s0: FlowState, g: SphereMetric, s_span: float,
         remaining = s_span - s_off
         if remaining <= 0:
             break
-        cur = FlowState(t=last.t, r=last.r, theta=last.theta, tau=last.tau,
-                        xi=-last.xi, zeta=last.zeta)
+        cur = last._replace(xi=-last.xi)
     return Trajectory(states=tuple(states), s_values=np.array(ss),
                       sigma_values=np.array(sigmas), system="full+bridge")
 

@@ -12,8 +12,8 @@ integer: that is the observable this module exists to measure.
 Each region integral is one numpy-ufunc integrand, for arrays and scalars alike, run by
 quadrature.integrate_smooth: its Gauss-Legendre ladder, or adaptive GK15 next to a cone.
 Only cos(nu * phase) (exp(-nu * phase) in the diffractive integral) depends on the mode.
-The other node terms are tabulated per point and rule size once a second mode visits the
-point, for the last few points, so a mode sum pays for them once; every value is
+Each integrand keeps the other node terms of its last point, per rule size, once a second
+mode visits that point, so a mode sum at one point pays for them once; every value is
 the double the untabulated integrand gives.
 """
 
@@ -32,9 +32,7 @@ from .specfun import bessel_j, legendre_q_shifted
 _INNER_TOL = 1e-11          # quadrature tolerance inside kernel integrals
 EPS_CONE_FACTOR = 1e-6      # default cone band is this times (r1 + r2 + t)
 _BETA_SCALED = math.asinh(sys.float_info.max / 4.0)  # diffractive_integral rescales here
-_TABLE_POINTS = 8           # keys whose node tables are kept, ~48 kB each at most
-_node_tables: dict = {}     # key -> {rule size: factors}, oldest key first
-_seen_once: dict = {}       # keys integrated once: a second integral tabulates
+_node_slots: dict = {}      # integrand kind -> (last key, {rule size: factors} or None)
 
 
 class KernelError(Exception):
@@ -109,20 +107,19 @@ def classify_region(p: KernelPoint, eps_cone: float | None = None) -> Region:
 def _integrate_modes(key, factors, wave, rate: float, a: float, b: float) -> float:
     """integrate_smooth over [a, b] at _INNER_TOL of weight * wave(rate * phase)
     / root, where (weight, phase, root) = factors(x) (weight None: 1) are the
-    node terms that do not depend on the mode; key names the geometry they do
-    depend on. From a key's second integral on they are kept per rule size, so
-    a further mode costs one wave and two products per ladder rung. Scalar
-    nodes (the adaptive fallback) always form them in place. A first integral
-    frees no tables, so a run of distinct points costs no more than without."""
-    tables = _node_tables.get(key)
-    if tables is None and _seen_once.pop(key, False):
-        if len(_node_tables) >= _TABLE_POINTS:
-            del _node_tables[next(iter(_node_tables))]
-        tables = _node_tables[key] = {}
+    node terms that do not depend on the mode; key, led by the integrand's
+    kind, names the geometry they do depend on. A key's first integral forms
+    them in place and stores nothing; a second one in a row for that kind
+    keeps them per rule size, so a further mode costs one wave and two
+    products per ladder rung. Scalar nodes (the adaptive fallback) always
+    form them in place."""
+    held, tables = _node_slots.get(key[0], (None, None))
+    if held != key:
+        tables = None
+        _node_slots[key[0]] = (key, None)
     elif tables is None:
-        if len(_seen_once) >= _TABLE_POINTS:
-            _seen_once.clear()
-        _seen_once[key] = True
+        tables = {}
+        _node_slots[key[0]] = (key, tables)
 
     def integrand(x):
         if tables is None or isinstance(x, float):

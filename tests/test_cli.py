@@ -284,6 +284,17 @@ class TestSymbolAudit:
         assert code == EXIT_CHECK
         assert "exceeds" in err
 
+    def test_wide_delta_rows_are_finite(self, capsys):
+        # at delta = 1 some samples have an empty |zeta_hat| band
+        code, out, _ = run_cli(capsys, "symbol-audit", "--delta", "1.0",
+                               "--alpha", "8.0", "--count", "2000",
+                               "--reproducible")
+        assert code == EXIT_OK
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 2000
+        assert all(math.isfinite(float(row[i])) for row in rows
+                   for i in (0, 1, 2, 3, 4, 5, 7))
+
     def test_calibrates_alpha_when_unset(self, capsys):
         code, out, _ = run_cli(capsys, "symbol-audit", "--count", "200",
                                "--probe-kept", "400", "--verify-kept",

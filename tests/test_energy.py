@@ -680,7 +680,7 @@ def _reference_states(p, start, count, dim):
         r = max(1e-3, math.sqrt(q[0] * max(credit, 0.0)))
         t = p.t0 + (2.0 * q[3] - 1.0) * math.sqrt(max(credit, 0.0))
         band_lo = max(0.0, r * r - xh * xh - two_d)
-        band_hi = r * r - xh * xh + two_d
+        band_hi = max(band_lo, r * r - xh * xh + two_d)
         zh = math.sqrt(band_lo + q[2] * (band_hi - band_lo))
         tau = p.tau0 + 2.0 * q[4]
         theta = (2.0 * math.pi * q[5],) + (math.pi / 2.0,) * (dim - 1)
@@ -709,6 +709,31 @@ def test_samples_past_int64_raise():
         en.sample_states(params(), 2 ** 63 - 2, 2)
 
 
+@pytest.mark.parametrize("chart", [circle(), sphere_chart()])
+def test_samples_and_scan_rows_are_flow_states(chart):
+    p = params(alpha=2.487)
+    assert all(type(st) is FlowState for st in en.sample_states(p, 0, 50, chart))
+    assert all(type(row[0]) is FlowState
+               for row in en.AuditScan(p, chart).scan(0, 50))
+
+
+def test_wide_delta_samples_stay_finite_off_an_empty_band():
+    # for delta > 1/2 the |zeta_hat| band can be empty: those samples get
+    # zeta = 0, which lies off the support, so they are never audited
+    p = params(alpha=1.0, delta=1.0)
+    states = en.sample_states(p, 0, 4096)
+    assert all(math.isfinite(v) for st in states
+               for v in (st.t, st.r, *st.theta, st.tau, st.xi, *st.zeta))
+    empty = [st for st in states if st.zeta == (0.0,)]
+    assert len(empty) == 667
+    assert all(en.commutant_symbol(p, st) == 0.0 for st in empty)
+    scan = en.AuditScan(p)
+    rows = scan.scan(0, 4096)
+    assert all(math.isfinite(value) for _, value, _, _ in rows)
+    assert not any(audited for st, _, _, audited in rows if st.zeta == (0.0,))
+    assert scan.scanned == 4096
+
+
 class TestSharedEvaluation:
     """The audit evaluates each sample once; its symbol value, derivative,
     class and audited flag must equal, bit for bit, the public functions
@@ -719,7 +744,7 @@ class TestSharedEvaluation:
         p = params(alpha=alpha)
         scan = en.AuditScan(p)
         kept, worst = 0, -math.inf
-        for pt, value, label, audited in scan.samples(0, 600):
+        for pt, value, label, audited in scan.scan(0, 600):
             want, want_label = en.hamilton_derivative_symbol(p, pt)
             assert value.hex() == want.hex()
             assert label == want_label == en.classify_point(p, pt)

@@ -46,7 +46,7 @@ def secant_state(u0=0.5):
 
 class TestStateAndMetrics:
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="equal dimension"):
             FlowState(t=0.0, r=1.0, theta=(0.0, 0.0), tau=1.0, xi=0.0,
                       zeta=(1.0,))
 
@@ -54,6 +54,26 @@ class TestStateAndMetrics:
         with pytest.raises(ValueError):
             FlowState(t=0.0, r=math.inf, theta=(0.0,), tau=1.0, xi=0.0,
                       zeta=(0.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["t", "r", "tau", "xi", "theta", "zeta"])
+    def test_constructor_rejects_every_nonfinite_field(self, bad, field):
+        fields = dict(t=0.0, r=1.0, theta=(0.0,), tau=1.0, xi=0.0,
+                      zeta=(0.0,))
+        fields[field] = (bad,) if field in ("theta", "zeta") else bad
+        with pytest.raises(ValueError, match="flow state must be finite"):
+            FlowState(**fields)
+
+    def test_constructor_makes_float_tuples(self):
+        s = FlowState(0.0, 1.0, [np.float64(0.5)], 1.0, 0.0, np.array([1]))
+        assert type(s.theta) is tuple and type(s.zeta) is tuple
+        assert [type(v) for v in s.theta + s.zeta] == [float, float]
+
+    def test_flows_yield_flow_states(self):
+        traj = integrate_flow(secant_state(), circle(), 0.5, 0.1)
+        bridged = trace_through_origin(radial_state(), circle(), 2.0, 1e-2)
+        assert all(type(st) is FlowState
+                   for st in traj.states + bridged.states)
 
     def test_xi_hat(self):
         s = FlowState(t=0.0, r=1.0, theta=(0.0,), tau=2.0, xi=0.5,

@@ -302,8 +302,7 @@ class TestNodeTables:
 
     @staticmethod
     def forget():
-        kernel._node_tables.clear()
-        kernel._seen_once.clear()
+        kernel._node_slots.clear()
 
     def cold(self, nu, p):
         self.forget()
@@ -338,12 +337,28 @@ class TestNodeTables:
                       KernelPoint(1.0 + 0.01 * i, 0.9, 2.8)):
                 for n in (0, 60, 150):
                     mode_kernel(mode_params(n, 0.0), p)
-        assert len(kernel._node_tables) <= kernel._TABLE_POINTS
-        assert len(kernel._seen_once) <= kernel._TABLE_POINTS
-        size = sum(a.nbytes for tables in kernel._node_tables.values()
-                   for fx in tables.values() for a in fx
+        assert len(kernel._node_slots) <= 3
+        size = sum(a.nbytes for _, tables in kernel._node_slots.values()
+                   for fx in (tables or {}).values() for a in fx
                    if isinstance(a, np.ndarray))
         assert 0 < size < 500_000
+
+    def test_first_visit_stores_nothing(self):
+        self.forget()
+        mode_kernel(order_only(1.3), KernelPoint(1.2, 0.9, 2.8))
+        assert kernel._node_slots
+        assert all(tables is None for _, tables in kernel._node_slots.values())
+
+    def test_region_iii_mode_sum_fills_both_slots(self):
+        self.forget()
+        p = KernelPoint(1.2, 0.9, 2.8)
+        for n in range(4):
+            mode_kernel(mode_params(n, 0.3), p)
+        beta = math.acosh((p.t ** 2 - p.r1 ** 2 - p.r2 ** 2) / (2 * p.r1 * p.r2))
+        assert kernel._node_slots.keys() == {"III", "diffractive"}
+        assert kernel._node_slots["III"][0] == ("III", beta, p.r1 * p.r2)
+        assert kernel._node_slots["diffractive"][0] == ("diffractive", beta)
+        assert all(tables for _, tables in kernel._node_slots.values())
 
 
 class TestDiffractiveIntegral:

@@ -115,7 +115,7 @@ def audits(geo, en) -> dict:
                         ("sphere", geo.sphere_chart())):
             scan = en.AuditScan(p, g)
             rows = (_state_row(st) + (float(v).hex(), label, audited)
-                    for st, v, label, audited in scan.samples(0, STREAM))
+                    for st, v, label, audited in scan.scan(0, STREAM))
             entry[f"stream/{name}"] = {
                 **_digest(rows), "kept": scan.kept,
                 "max": float(scan.max_value).hex(),
