@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-from .energy import (CommutantParams, _norm_constants, _norm_terms,
-                     alpha_star, constant_potential,
-                     hamilton_derivative_symbol, hardy_check, random_suite,
+from .energy import (CommutantParams, alpha_star, hamilton_derivative_symbol,
+                     hardy_check, norm_equivalence, random_suite,
                      sample_states, sign_audit)
 from .geodesic import (FlowState, OriginReached, circle, integrate_flow,
                        sec_envelope_bound)
@@ -146,18 +145,6 @@ def parametrization_gap(step: float) -> float:
     gap = np.hypot(r_f - np.interp(grid, tr, rr),
                    np.interp(grid, tf, thf) - np.interp(grid, tr, thr))
     return float(np.max(gap[r_f > 0.1]))
-
-
-def norm_equivalence(suite, n: int, f0: float):
-    """(c1, c2, min Q/|grad u|^2, max Q/|grad u|^2) over the suite, for the
-    constant potential f0; c1 takes delta^2 as its minimum over the radii
-    that carry the suite's mass."""
-    fpot = constant_potential(f0)
-    terms = [_norm_terms(tf, fpot, n) for tf in suite]
-    c1, c2, _ = _norm_constants(
-        fpot, np.concatenate([radii for _, _, radii in terms]), n)
-    quots = [q / grad for q, grad, _ in terms]
-    return c1, c2, min(quots), max(quots)
 
 
 def dual_route_gap(alpha: float, count: int, seed: int) -> float:

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .checks import (DEFAULT_SAMPLES, involution_defect, norm_equivalence,
-                     verify_rows)
+from .checks import DEFAULT_SAMPLES, involution_defect, verify_rows
 from .energy import (AuditScan, CommutantParams, alpha_star, hardy_check,
-                     random_suite, sharpness_profile)
+                     norm_equivalence, random_suite, sharpness_profile)
 from .geodesic import FlowState, OriginReached, circle, integrate_flow
 from .kernel import (KernelPoint, Region, classify_region, cone_sides,
                      extrapolate_to_cone, is_mode_jump_nonzero, mode_kernel,
@@ -81,7 +80,7 @@ def _plain(value) -> str:
         return ";".join(_plain(v) for v in value)
     text = str(value)
     if "," in text or "\n" in text:
-        raise ValueError(f"cell text may not contain commas: {text!r}")
+        raise UsageError(f"cell text may not contain commas: {text!r}")
     return text
 
 
@@ -652,14 +651,9 @@ def main(argv=None) -> int:
                         output=args.output,
                         seed=_convert(seed_raw, int, "seed"),
                         reproducible=args.reproducible)
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"isqwave: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    sink = CsvSink(cfg)
-    try:
+        sink = CsvSink(cfg)
         code = runner(cfg, sink)
+        sink.write(cfg.output)
     except UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"isqwave: error: {exc}", file=sys.stderr)
@@ -668,7 +662,6 @@ def main(argv=None) -> int:
         # module-level failures keep their original wording
         print(f"isqwave: {args.command}: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    sink.write(cfg.output)
     return code
 
 

@@ -28,10 +28,10 @@ from .geodesic import (FlowState, SphereMetric, circle, integrate_flow,
 __all__ = [
     "EnergyError", "GridTolerance", "PositivityFailure", "TauUnderflow",
     "SymbolOverflow",
-    "TestFunction", "PotentialProfile", "CommutantParams", "AuditResult",
+    "TestFunction", "PotentialProfile", "CommutantParams",
     "polar_quadrature", "angular_weights",
     "hardy_check", "quadratic_form", "gradient_norm_sq",
-    "norm_equivalence_check",
+    "norm_equivalence_check", "norm_equivalence",
     "sphere_polar_nodes", "sphere_min_eigenvalue",
     "bump", "phi1", "phi2", "phi3",
     "cutoff_chi", "cutoff_chi_tilde", "cutoff_chi_prime",
@@ -243,21 +243,25 @@ def quadratic_form(tf: TestFunction, f: PotentialProfile, n: int) -> float:
 # ---------------------------------------------------------------------------
 # sphere operator eigenvalues
 
+_SPHERE_NODES = 200         # polar nodes of the sphere operator
+
+
 def sphere_polar_nodes(m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) * (math.pi / m)
 
 
-def sphere_min_eigenvalue(f, n: int, m: int = 200) -> float:
+def sphere_min_eigenvalue(f, n: int) -> float:
     """Minimum eigenvalue of -Laplacian + f on S^{n-1} for axisymmetric f.
 
-    Staggered flux discretization of the zero azimuthal sector on polar
-    nodes; the face weights sin^{n-2} vanish at both poles so no boundary
-    condition is imposed there.  For axisymmetric potentials the higher
-    sectors only add nonnegative angular momentum terms, so the sector
-    minimum is the global minimum.
+    Staggered flux discretization of the zero azimuthal sector on the
+    _SPHERE_NODES polar nodes; the face weights sin^{n-2} vanish at both
+    poles so no boundary condition is imposed there.  For axisymmetric
+    potentials the higher sectors only add nonnegative angular momentum
+    terms, so the sector minimum is the global minimum.
     """
     if n < 3:
         raise ValueError("sphere operator needs n >= 3")
+    m = _SPHERE_NODES
     nodes = sphere_polar_nodes(m)
     fv = np.asarray(f(nodes) if callable(f) else f, dtype=float)
     if fv.shape == ():
@@ -290,7 +294,7 @@ def _support_radii(tf: TestFunction, n: int,
     return tf.r[supported]
 
 
-def _sphere_gap_sq(f: PotentialProfile, radii, n: int, m: int = 200) -> float:
+def _sphere_gap_sq(f: PotentialProfile, radii, n: int) -> float:
     """delta^2: the minimum over radii of the lowest eigenvalue of
     -Laplacian + f(r, .) + lambda^2 on S^{n-1}, lambda = (n-2)/2.
 
@@ -298,12 +302,12 @@ def _sphere_gap_sq(f: PotentialProfile, radii, n: int, m: int = 200) -> float:
     for a potential that does not depend on r) share a solve.  Adding
     lambda^2 after the minimum is exact, since rounding is monotone.
     """
-    nodes = sphere_polar_nodes(m)
+    nodes = sphere_polar_nodes(_SPHERE_NODES)
     rows = (np.broadcast_to(np.asarray(f.func(r, nodes), dtype=float),
                             nodes.shape) for r in radii)
     distinct = {row.tobytes(): row for row in rows}
     lam = (n - 2) / 2.0
-    return min(sphere_min_eigenvalue(row, n, m)
+    return min(sphere_min_eigenvalue(row, n)
                for row in distinct.values()) + lam * lam
 
 
@@ -313,12 +317,12 @@ def _norm_terms(tf: TestFunction, f: PotentialProfile, n: int):
     return (*_form_and_gradient(tf, f, n, aw), _support_radii(tf, n, aw))
 
 
-def _norm_constants(f: PotentialProfile, radii, n: int, eig_m: int = 200):
+def _norm_constants(f: PotentialProfile, radii, n: int):
     """(c1, c2, delta^2) of the norm equivalence c1 |grad u|^2 <= Q(u) <=
     c2 |grad u|^2 for u supported on radii: delta^2 is _sphere_gap_sq,
     c1 = delta^2 / (delta^2 + sup|f|), c2 = 1 + sup|f| / lambda^2 with
     lambda = (n-2)/2.  Raises PositivityFailure when delta^2 <= 0."""
-    delta_sq = _sphere_gap_sq(f, radii, n, eig_m)
+    delta_sq = _sphere_gap_sq(f, radii, n)
     if delta_sq <= 0.0:
         raise PositivityFailure(
             f"sphere operator minimum eigenvalue {delta_sq:.3e} <= 0")
@@ -326,17 +330,28 @@ def _norm_constants(f: PotentialProfile, radii, n: int, eig_m: int = 200):
     return delta_sq / (delta_sq + sup), 1.0 + sup / lam ** 2, delta_sq
 
 
-def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int,
-                           eig_m: int = 200):
+def norm_equivalence_check(tf: TestFunction, f: PotentialProfile, n: int):
     """Two-sided comparison of Q(u) with the gradient energy, against the
     _norm_constants of the radii in the support of u (at most _MAX_RADII of
     them).  Returns (c1_ok, c2_ok, delta_est)."""
     q, grad, radii = _norm_terms(tf, f, n)
-    c1, c2, delta_sq = _norm_constants(f, radii, n, eig_m)
+    c1, c2, delta_sq = _norm_constants(f, radii, n)
     slack = 1e-10
     c1_ok = c1 * grad <= q * (1.0 + slack) + slack
     c2_ok = q <= c2 * grad * (1.0 + slack) + slack
     return bool(c1_ok), bool(c2_ok), math.sqrt(delta_sq)
+
+
+def norm_equivalence(suite, n: int, f0: float):
+    """(c1, c2, min Q/|grad u|^2, max Q/|grad u|^2) over the suite, for the
+    constant potential f0; c1 takes delta^2 as its minimum over the radii
+    that carry the suite's mass."""
+    fpot = constant_potential(f0)
+    terms = [_norm_terms(tf, fpot, n) for tf in suite]
+    c1, c2, _ = _norm_constants(
+        fpot, np.concatenate([radii for _, _, radii in terms]), n)
+    quots = [q / grad for q, grad, _ in terms]
+    return c1, c2, min(quots), max(quots)
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +592,16 @@ def _evaluate(p: CommutantParams, points: list, g: SphereMetric) -> list:
             for pt, (label, coords, cuts) in zip(points, heads)]
 
 
-def _hamilton_fd(p: CommutantParams, point: FlowState, g: SphereMetric,
-                 h: float) -> float:
+_FD_STEP = 1e-5             # flow step h of the "fd" Hamilton derivative
+
+
+def _hamilton_fd(p: CommutantParams, point: FlowState,
+                 g: SphereMetric) -> float:
     # one-sided second-order stencil along the rescaled flow, which stays
     # smooth near r = 0; the rescaled field is r^2 times the singular one.
     # One Richardson level, step h against h/2, cancels the h^2 term.
     rates = []
-    for step in (h, 0.5 * h):
+    for step in (_FD_STEP, 0.5 * _FD_STEP):
         traj = integrate_flow(point, g, 2.0 * step, step, system="rescaled")
         a0, a1, a2 = (commutant_symbol(p, st, g) for st in traj.states[:3])
         rates.append((-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * step))
@@ -593,16 +611,15 @@ def _hamilton_fd(p: CommutantParams, point: FlowState, g: SphereMetric,
 @_typed_overflow
 def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
                                g: Optional[SphereMetric] = None,
-                               method: str = "analytic",
-                               fd_step: float = 1e-5):
+                               method: str = "analytic"):
     """Derivative of the commutant along the characteristic flow, classified.
 
     The flow is the principal one: the r^{-2}-weighted potential enters the
     operator at lower order and drops out of the principal Hamilton field,
     so the derivative takes no potential.  method "analytic"
-    differentiates term by term; "fd" advances the rescaled flow and takes
-    a one-sided second-order difference of the symbol.  Returns
-    (value, classification).
+    differentiates term by term; "fd" advances the rescaled flow by
+    _FD_STEP and takes a one-sided second-order difference of the symbol.
+    Returns (value, classification).
     """
     g = circle() if g is None else g
     if point.r <= 0.0:
@@ -611,9 +628,7 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
         return _evaluate(p, [point], g)[0][1:]
     if method != "fd":
         raise ValueError(f"unknown method {method!r}")
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
-    return _hamilton_fd(p, point, g, fd_step), classify_point(p, point, g)
+    return _hamilton_fd(p, point, g), classify_point(p, point, g)
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +685,6 @@ def sample_states(p: CommutantParams, start: int, count: int,
             for t, r, theta, tau, xi, z in zip(*(c.tolist() for c in cols))]
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    alpha: float
-    kept: int
-    scanned: int
-    max_value: float
-    counts: dict
-
-
 class AuditScan:
     """Sign-audit samples and their running tally: samples scanned, class
     counts, audited count, largest audited H_p a."""
@@ -706,34 +712,36 @@ class AuditScan:
 
 
 _MAX_SCAN = 4_000_000       # samples sign_audit scans before giving up
+_AUDIT_BATCH = 2048         # samples per sign_audit scan
 _ALPHA_TOL = 1e-12          # alpha_star's pass rule: max H_p a <= this
 _BISECTIONS = 20            # alpha_star's bisection steps
 
 
 def sign_audit(p: CommutantParams, g: Optional[SphereMetric] = None,
-               min_kept: int = 10000, batch: int = 2048) -> AuditResult:
+               min_kept: int = 10000) -> AuditScan:
     """Maximum of the analytic Hamilton derivative over the audited region.
 
-    Scans Halton samples, `batch` at a time through `AuditScan.scan`, until
-    min_kept of them land in the "main b2" or "good-sign g" classes with a
-    strictly positive symbol value; those are the points where the
+    Scans Halton samples, _AUDIT_BATCH at a time through `AuditScan.scan`,
+    until min_kept of them land in the "main b2" or "good-sign g" classes
+    with a strictly positive symbol value; those are the points where the
     derivative must be nonpositive once alpha is large enough.  Other
-    classes are tallied but carry no sign claim.
+    classes are tallied but carry no sign claim.  Returns the finished
+    scan: its max_value, kept, scanned and counts.
     """
     scan = AuditScan(p, g)
     while scan.kept < min_kept:
         if scan.scanned >= _MAX_SCAN:
             raise EnergyError(f"audit kept only {scan.kept} of "
                               f"{scan.scanned} samples; box too sparse")
-        scan.scan(scan.scanned, batch)
-    return AuditResult(alpha=p.alpha, kept=scan.kept, scanned=scan.scanned,
-                       max_value=scan.max_value, counts=scan.counts)
+        scan.scan(scan.scanned, _AUDIT_BATCH)
+    return scan
 
 
 def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
-               tau0: float = 1.0, g: Optional[SphereMetric] = None,
-               probe_kept: int = 3000, verify_kept: int = 10000) -> float:
-    """Empirical alpha threshold making the audited region nonpositive.
+               tau0: float = 1.0, probe_kept: int = 3000,
+               verify_kept: int = 10000) -> float:
+    """Empirical alpha threshold making the audited region of the circle
+    chart nonpositive.
 
     Doubles alpha until a probe audit passes, bisects down to the observed
     threshold, then verifies on a denser audit, nudging alpha up if the
@@ -742,7 +750,7 @@ def alpha_star(C: float = 1.0, delta: float = 0.3, t0: float = 0.0,
 
     def passes(alpha: float, kept: int) -> bool:
         p = CommutantParams(C=C, delta=delta, alpha=alpha, t0=t0, tau0=tau0)
-        return sign_audit(p, g, min_kept=kept).max_value <= _ALPHA_TOL
+        return sign_audit(p, min_kept=kept).max_value <= _ALPHA_TOL
 
     lo, hi = 0.0, 1.0
     while not passes(hi, probe_kept):

@@ -179,7 +179,6 @@ class Trajectory:
     states: tuple
     s_values: np.ndarray
     sigma_values: np.ndarray    # conserved-quantity log (singular-system sigma)
-    system: str
 
 
 def _rk4(stage, y: list, k1: list, h: float) -> list:
@@ -230,7 +229,7 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
 
     def finish(reason=None):
         traj = Trajectory(states=tuple(states), s_values=np.array(ss),
-                          sigma_values=np.array(sigmas), system=system)
+                          sigma_values=np.array(sigmas))
         if reason is not None:
             raise OriginReached(reason, traj)
         return traj
@@ -322,7 +321,7 @@ def trace_through_origin(s0: FlowState, g: SphereMetric, s_span: float,
             break
         cur = last._replace(xi=-last.xi)
     return Trajectory(states=tuple(states), s_values=np.array(ss),
-                      sigma_values=np.array(sigmas), system="full+bridge")
+                      sigma_values=np.array(sigmas))
 
 
 def sec_envelope_bound(state: FlowState, g: SphereMetric) -> float:

@@ -20,6 +20,7 @@ from .specfun import bessel_j_array
 TAIL_FRACTION = 0.1        # trailing share of the radial span checked for mass
 TAIL_RTOL = 1e-6           # allowed tail amplitude relative to the peak
 MIN_OPERATOR_POINTS = 16
+MIN_TRANSFORM_POINTS = 4   # samples of one local cubic window
 GRADING_GAMMA = 6.26       # first point ~1e-4*r_max, step ratio ~1.05 at n=120
 
 
@@ -141,6 +142,9 @@ def _check_tail(field: RadialField):
 
 def hankel_transform(field: RadialField, order, out_grid: RadialGrid) -> RadialField:
     """H_nu applied to a sampled field, evaluated on out_grid."""
+    n = len(field.grid)
+    if n < MIN_TRANSFORM_POINTS:
+        raise GridTooCoarse(f"need >= {MIN_TRANSFORM_POINTS} points, got {n}")
     _check_tail(field)
     lam = out_grid.points
     nodes, weights = _panel_nodes(0.0, field.grid.r_max, float(lam.max()))

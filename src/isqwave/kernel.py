@@ -32,7 +32,7 @@ from .specfun import bessel_j, legendre_q_shifted
 _INNER_TOL = 1e-11          # quadrature tolerance inside kernel integrals
 EPS_CONE_FACTOR = 1e-6      # default cone band is this times (r1 + r2 + t)
 _BETA_SCALED = math.asinh(sys.float_info.max / 4.0)  # diffractive_integral rescales here
-_node_slots: dict = {}      # integrand kind -> (last key, {rule size: factors} or None)
+_node_slots: dict = {}      # integrand kind -> (last key, {rule size: factors})
 
 
 class KernelError(Exception):
@@ -108,21 +108,17 @@ def _integrate_modes(key, factors, wave, rate: float, a: float, b: float) -> flo
     """integrate_smooth over [a, b] at _INNER_TOL of weight * wave(rate * phase)
     / root, where (weight, phase, root) = factors(x) (weight None: 1) are the
     node terms that do not depend on the mode; key, led by the integrand's
-    kind, names the geometry they do depend on. A key's first integral forms
-    them in place and stores nothing; a second one in a row for that kind
-    keeps them per rule size, so a further mode costs one wave and two
-    products per ladder rung. Scalar nodes (the adaptive fallback) always
-    form them in place."""
+    kind, names the geometry they do depend on. The kind's slot keeps them
+    per rule size for its last key, so a further mode at that key costs one
+    wave and two products per ladder rung. Scalar nodes (the adaptive
+    fallback) always form them in place."""
     held, tables = _node_slots.get(key[0], (None, None))
     if held != key:
-        tables = None
-        _node_slots[key[0]] = (key, None)
-    elif tables is None:
         tables = {}
         _node_slots[key[0]] = (key, tables)
 
     def integrand(x):
-        if tables is None or isinstance(x, float):
+        if isinstance(x, float):
             weight, phase, root = factors(x)
         else:
             fx = tables.get(len(x))

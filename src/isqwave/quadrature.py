@@ -183,8 +183,8 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadRes
     return QuadResult(float(res.value), float(res.error_estimate), evals + res.evaluations)
 
 
-def integrate_endpoint_singular(f, a: float, b: float, tol: float = DEFAULT_TOL,
-                                budget: int = EVAL_BUDGET) -> QuadResult:
+def integrate_endpoint_singular(f, a: float, b: float,
+                                tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate f over [a, b] where f may blow up like (s-a)^(-1/2) or (b-s)^(-1/2).
 
     The interval is split at the midpoint and each half is mapped by
@@ -205,17 +205,16 @@ def integrate_endpoint_singular(f, a: float, b: float, tol: float = DEFAULT_TOL,
         return 2.0 * w * f(b - w * w)
 
     rl = integrate_adaptive(left, 0.0, math.sqrt(m - a), 0.5 * tol,
-                            budget=budget // 2)
+                            budget=EVAL_BUDGET // 2)
     rr = integrate_adaptive(right, 0.0, math.sqrt(b - m), 0.5 * tol,
-                            budget=budget // 2)
+                            budget=EVAL_BUDGET // 2)
     return QuadResult(rl.value + rr.value,
                       rl.error_estimate + rr.error_estimate,
                       rl.evaluations + rr.evaluations)
 
 
 def integrate_decaying(f, a: float, tol: float = DEFAULT_TOL,
-                       decay_rate_hint: float = 1.0,
-                       budget: int = EVAL_BUDGET) -> QuadResult:
+                       decay_rate_hint: float = 1.0) -> QuadResult:
     """Integrate f over [a, infinity) for |f| eventually below M*exp(-kappa*s).
 
     decay_rate_hint must be a lower bound on the true decay rate kappa. The
@@ -255,7 +254,7 @@ def integrate_decaying(f, a: float, tol: float = DEFAULT_TOL,
             f"tail samples (last window max {wmax[-1]:.3e}) decay slower "
             f"than hinted rate {kappa:g}")
 
-    res = integrate_adaptive(f, a, T, 0.5 * tol, budget=budget)
+    res = integrate_adaptive(f, a, T, 0.5 * tol)
     tail_bound = M * math.exp(-kappa * (T - a)) / kappa
     return QuadResult(res.value, res.error_estimate + tail_bound,
                       res.evaluations + n_w * n_s + 8)

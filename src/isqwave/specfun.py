@@ -188,8 +188,9 @@ def bessel_j_array(order, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def legendre_q_shifted(order, Z: float, tol: float = _Q_TOL) -> float:
-    """Q_{nu-1/2}(Z) for Z > 1 via its real integral representation.
+def legendre_q_shifted(order, Z: float) -> float:
+    """Q_{nu-1/2}(Z) for Z > 1, to _Q_TOL, via its real integral
+    representation.
 
     The integral runs over s in [acosh(Z), inf) with integrand
     exp(-s*nu) / sqrt(2*cosh(s) - 2*Z). The inverse-square-root endpoint is
@@ -213,7 +214,7 @@ def legendre_q_shifted(order, Z: float, tol: float = _Q_TOL) -> float:
     def far(s):
         return math.exp(-nu * s) / math.sqrt(2.0 * math.cosh(s) - 2.0 * Z)
 
-    r1 = integrate_adaptive(near, 0.0, 1.0, 0.5 * tol)
-    r2 = integrate_decaying(far, eta + 1.0, 0.5 * tol,
+    r1 = integrate_adaptive(near, 0.0, 1.0, 0.5 * _Q_TOL)
+    r2 = integrate_decaying(far, eta + 1.0, 0.5 * _Q_TOL,
                             decay_rate_hint=nu + 0.5)
     return r1.value + r2.value

@@ -90,6 +90,13 @@ class TestUsageErrors:
                              "--arg-min", "0.5")
         assert code == EXIT_USAGE
 
+    def test_comma_in_text_value(self, capsys):
+        # the value lands in the CSV metadata, where a comma would split it
+        code, out, err = run_cli(capsys, "specfun", "--function", "bessel,j")
+        assert code == EXIT_USAGE
+        assert "usage" in err and "commas" in err
+        assert out == ""
+
 
 class TestSpecfun:
     def test_half_order_bessel_row(self, capsys):
@@ -379,6 +386,14 @@ class TestDeterminismAndConfig:
         assert out == ""
         meta, _, rows = parse_csv(target.read_text())
         assert len(rows) == 3
+
+    def test_unwritable_output_file(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "table.csv"
+        code, out, err = run_cli(capsys, "mode-table", "--n-max", "2",
+                                 "--output", str(target), "--reproducible")
+        assert code == EXIT_CHECK
+        assert err.startswith("isqwave: mode-table: ")
+        assert out == ""
 
 
 class TestVerifyQuick:

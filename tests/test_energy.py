@@ -319,14 +319,14 @@ class TestNormEquivalence:
         # f = 1/(1 + r) falls with r: delta^2 sits at the outermost
         # supported radius, below its value at the innermost one, and
         # every radius has its own row, so none may share a solve
-        n, m = 3, 200
+        n = 3
         fpot = en.PotentialProfile(
             func=lambda r, phi: 1.0 / (1.0 + r) + 0.0 * phi,
             sup_bound=1.0, lower_bound=0.0)
         tf = en.random_suite(n, count=1)[0]
         radii = en._support_radii(tf, n)
-        nodes = en.sphere_polar_nodes(m)
-        per_radius = [en.sphere_min_eigenvalue(fpot.func(r, nodes), n, m)
+        nodes = en.sphere_polar_nodes(200)
+        per_radius = [en.sphere_min_eigenvalue(fpot.func(r, nodes), n)
                       + 0.25 for r in radii]
         calls = []
         solve = en.sphere_min_eigenvalue
@@ -336,7 +336,7 @@ class TestNormEquivalence:
             return solve(*args)
 
         monkeypatch.setattr(en, "sphere_min_eigenvalue", counted)
-        ok1, ok2, delta = en.norm_equivalence_check(tf, fpot, n, m)
+        ok1, ok2, delta = en.norm_equivalence_check(tf, fpot, n)
         assert ok1 and ok2
         assert len(calls) == radii.size
         assert delta ** 2 == min(per_radius)
@@ -529,9 +529,6 @@ class TestClassification:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             en.hamilton_derivative_symbol(params(), state(), method="spectral")
-        with pytest.raises(ValueError):
-            en.hamilton_derivative_symbol(params(), state(), method="fd",
-                                          fd_step=0.0)
 
 
 class TestDualRoute:
@@ -540,8 +537,7 @@ class TestDualRoute:
         pt = state(r=0.8, xi_hat=0.35, zeta_hat=0.4, t=-0.25, tau=1.4,
                    theta=0.3)
         va, la = en.hamilton_derivative_symbol(p, pt, method="analytic")
-        vf, lf = en.hamilton_derivative_symbol(p, pt, method="fd",
-                                               fd_step=1e-5)
+        vf, lf = en.hamilton_derivative_symbol(p, pt, method="fd")
         assert la == lf
         assert abs(va - vf) < 1e-6
 
@@ -552,8 +548,7 @@ class TestDualRoute:
             va, label = en.hamilton_derivative_symbol(p, pt, method="analytic")
             if label in seen:
                 continue
-            vf, _ = en.hamilton_derivative_symbol(p, pt, method="fd",
-                                                  fd_step=1e-5)
+            vf, _ = en.hamilton_derivative_symbol(p, pt, method="fd")
             assert abs(va - vf) < 1e-6, label
             seen.add(label)
         assert seen == {"main b2", "good-sign g", "hypothesis e1",
@@ -635,8 +630,10 @@ class TestAudit:
 
         monkeypatch.setattr(np, "exp", counted)
         # 100 samples have at most 5 x 100 <= 512 edges: one block each
-        res = en.sign_audit(params(alpha=4.0), min_kept=100, batch=100)
-        assert len(sizes) == res.scanned // 100
+        scan = en.AuditScan(params(alpha=4.0))
+        while scan.kept < 100:
+            scan.scan(scan.scanned, 100)
+        assert len(sizes) == scan.scanned // 100
         sizes.clear()
         res = en.sign_audit(params(alpha=4.0), min_kept=100)
         batches = res.scanned // 2048
@@ -652,8 +649,10 @@ class TestAudit:
             return norm(*args)
 
         monkeypatch.setattr(en, "zeta_norm_sq", counted)
-        res = en.sign_audit(params(alpha=4.0), min_kept=100, batch=256)
-        assert len(calls) == res.scanned
+        scan = en.AuditScan(params(alpha=4.0))
+        while scan.kept < 100:
+            scan.scan(scan.scanned, 256)
+        assert len(calls) == scan.scanned
 
 
 AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)

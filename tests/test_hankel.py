@@ -92,6 +92,13 @@ class TestTransform:
         h = hankel_transform(RadialField(g, np.zeros(len(g))), 0.5, g)
         assert np.all(h.values == 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fewer_than_four_radii_raise(self, n):
+        # the local cubic interpolant needs four input samples
+        g = RadialGrid(np.linspace(0.5, 2.0, n), 2.0)
+        with pytest.raises(GridTooCoarse):
+            hankel_transform(RadialField(g, np.zeros(n)), 0.0, g)
+
     def test_tail_too_fat(self):
         g = graded_grid(R_MAX, 100)
         bad = RadialField(g, np.exp(-((g.points - 11.0) ** 2)))

@@ -343,11 +343,11 @@ class TestNodeTables:
                    if isinstance(a, np.ndarray))
         assert 0 < size < 500_000
 
-    def test_first_visit_stores_nothing(self):
+    def test_first_visit_fills_its_slots(self):
         self.forget()
         mode_kernel(order_only(1.3), KernelPoint(1.2, 0.9, 2.8))
         assert kernel._node_slots
-        assert all(tables is None for _, tables in kernel._node_slots.values())
+        assert all(tables for _, tables in kernel._node_slots.values())
 
     def test_region_iii_mode_sum_fills_both_slots(self):
         self.forget()
