@@ -246,8 +246,9 @@ def quadratic_form(tf: TestFunction, f: PotentialProfile, n: int) -> float:
 _SPHERE_NODES = 200         # polar nodes of the sphere operator
 
 
-def sphere_polar_nodes(m: int) -> np.ndarray:
-    return (np.arange(m) + 0.5) * (math.pi / m)
+def sphere_polar_nodes() -> np.ndarray:
+    """The _SPHERE_NODES polar nodes sphere_min_eigenvalue samples."""
+    return (np.arange(_SPHERE_NODES) + 0.5) * (math.pi / _SPHERE_NODES)
 
 
 def sphere_min_eigenvalue(f, n: int) -> float:
@@ -262,7 +263,7 @@ def sphere_min_eigenvalue(f, n: int) -> float:
     if n < 3:
         raise ValueError("sphere operator needs n >= 3")
     m = _SPHERE_NODES
-    nodes = sphere_polar_nodes(m)
+    nodes = sphere_polar_nodes()
     fv = np.asarray(f(nodes) if callable(f) else f, dtype=float)
     if fv.shape == ():
         fv = np.full(m, float(fv))
@@ -302,7 +303,7 @@ def _sphere_gap_sq(f: PotentialProfile, radii, n: int) -> float:
     for a potential that does not depend on r) share a solve.  Adding
     lambda^2 after the minimum is exact, since rounding is monotone.
     """
-    nodes = sphere_polar_nodes(_SPHERE_NODES)
+    nodes = sphere_polar_nodes()
     rows = (np.broadcast_to(np.asarray(f.func(r, nodes), dtype=float),
                             nodes.shape) for r in radii)
     distinct = {row.tobytes(): row for row in rows}

@@ -5,7 +5,10 @@ The transform H_nu(g)(lam) = int_0^rmax g(r) J_nu(lam r) r dr is computed by
 direct quadrature: samples are joined by a local cubic interpolant, the
 integrand is evaluated on composite Gauss-Legendre panels short enough to
 resolve the fastest Bessel oscillation requested, and the order-nu Bessel
-factor is evaluated vectorized. Correctness-grade, not fast.
+factor is a table J_nu(lam_i node_j) built by bessel_j_array in row blocks
+of about 2^15 elements. One slot, keyed on the order, the wavenumbers'
+bytes and r_max (which fix the nodes), keeps the newest table for the next
+transform alone; at 320 points on r_max = 12 it is 320 x 1152 doubles.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ TAIL_RTOL = 1e-6           # allowed tail amplitude relative to the peak
 MIN_OPERATOR_POINTS = 16
 MIN_TRANSFORM_POINTS = 4   # samples of one local cubic window
 GRADING_GAMMA = 6.26       # first point ~1e-4*r_max, step ratio ~1.05 at n=120
+_TABLE_BLOCK = 1 << 15     # Bessel table elements per bessel_j_array call
+_table_slot: dict = {}     # (order, wavenumber bytes, r_max) -> Bessel table
 
 
 class HankelError(Exception):
@@ -140,19 +145,35 @@ def _check_tail(field: RadialField):
             f"{m[tail_mask].max() / peak:.2e} of the peak amplitude")
 
 
+def _bessel_table(nu: float, lam: np.ndarray, r_max: float):
+    """(nodes, weights, J_nu(lam_i * node_j)), built _TABLE_BLOCK elements
+    at a time. A hit empties the slot, so a pair of transforms (involution,
+    eigen check) builds one table and holds none after: a table held past
+    it splits the heap hole a later 10 MB FD solve needs."""
+    key = (nu, lam.tobytes(), r_max)
+    held = _table_slot.pop(key, None)
+    if held is None:
+        _table_slot.clear()
+        nodes, weights = _panel_nodes(0.0, r_max, float(lam.max()))
+        table = np.empty((len(lam), len(nodes)))
+        rows = max(1, _TABLE_BLOCK // len(nodes))
+        for i in range(0, len(lam), rows):
+            table[i:i + rows] = bessel_j_array(nu, lam[i:i + rows, None] * nodes)
+        held = _table_slot[key] = nodes, weights, table
+    return held
+
+
 def hankel_transform(field: RadialField, order, out_grid: RadialGrid) -> RadialField:
     """H_nu applied to a sampled field, evaluated on out_grid."""
     n = len(field.grid)
     if n < MIN_TRANSFORM_POINTS:
         raise GridTooCoarse(f"need >= {MIN_TRANSFORM_POINTS} points, got {n}")
     _check_tail(field)
-    lam = out_grid.points
-    nodes, weights = _panel_nodes(0.0, field.grid.r_max, float(lam.max()))
+    nodes, weights, table = _bessel_table(float(order), out_grid.points,
+                                          field.grid.r_max)
     gv = _local_cubic(field.grid.points, field.values, nodes)
     wgr = weights * gv * nodes
-    out = np.empty(len(lam))
-    for i, lv in enumerate(lam):
-        out[i] = float(np.dot(wgr, bessel_j_array(order, lv * nodes)))
+    out = np.array([float(np.dot(wgr, row)) for row in table])
     return RadialField(out_grid, out)
 
 
@@ -190,7 +211,13 @@ def verify_involution(field: RadialField, order) -> float:
     """Relative L2(r dr) defect of applying the transform twice.
 
     The transform is its own inverse, so the defect measures pure
-    discretization error and must shrink under grid refinement."""
+    discretization error and must shrink under grid refinement.
+
+    Measured on r_max = 12 for r^nu exp(-r^2 / (2 w^2)), w in [0.7, 1],
+    orders 0 to 12 by 1/4: only the second transform raises TailTooFat, on
+    80 points in windows starting at order 2.5 to 6.25 (by w), at w = 0.7
+    from order 11 on 120 points and 10.75 on 320, never on 160. exp(-r^2/2),
+    not vanishing like r^nu, raises at every order tried from 0.001 on."""
     once = hankel_transform(field, order, field.grid)
     twice = hankel_transform(once, order, field.grid)
     ref = norm_r_dr(field)

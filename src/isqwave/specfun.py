@@ -93,33 +93,54 @@ def _miller_start(nu: float, z: float) -> int:
     return n
 
 
-def _bessel_miller(nu: float, z):
-    """J_nu(z) by Miller's backward recurrence (DLMF 3.6), for z > 0 a float
-    or an array.
+def _miller_steps(mu: float, m: int, z, weight: list, n_hi: int, n_lo: int,
+                  r, u, p):
+    """Steps n_hi .. n_lo + 1 of the recurrence in _bessel_miller."""
+    for n in range(n_hi, n_lo, -1):
+        r = z / (2.0 * (mu + n) - z * r)
+        u = weight[n - 1] + u * r
+        if n <= m:
+            p = p * r
+    return r, u, p
 
-    With m = floor(nu) and mu = nu - m, the recurrence runs from index N (for
-    the largest z) down to 0 over the orders mu + n, on the ratios
+
+def _bessel_miller(nu: float, z, segments):
+    """J_nu(z) by Miller's backward recurrence (DLMF 3.6), for z > 0 a float
+    or a 1-D array. segments lists (N, k) with N decreasing: elements before
+    index k start from index N of _miller_start (k is len(z), or 1 for a
+    float, in the last pair).
+
+    With m = floor(nu) and mu = nu - m, the recurrence runs from index N
+    down to 0 over the orders mu + n, on the ratios
     r_n = y_n / y_{n-1} = z / (2 (mu + n) - z r_{n+1}), so nothing overflows
     at any z. The Neumann series (DLMF 10.23)
         (z/2)^mu = sum_k (mu + 2k) Gamma(mu + k) / k! J_{mu+2k}(z)
     normalises y, accumulated as u_n = sum_{2k >= n} c_k y_{2k} / y_n, and
-    the product of r_1 .. r_m carries y_0 up to y_m.
+    the product of r_1 .. r_m carries y_0 up to y_m. An element joins at
+    its own N with r = 0, u = c at N and p = 1, the state its own run
+    starts from (z * 0.0 is 0.0), so each element gets the bits of that run;
+    the weights of the largest N serve every smaller one.
     """
     m = math.floor(nu)
     mu = nu - m
-    n_top = _miller_start(nu, float(np.max(z)))
+    n_top = segments[0][0]
     # c_0 = Gamma(mu + 1) and c_k = (mu + 2k) g_k with g_k = Gamma(mu + k) / k!
     weight = [0.0] * (n_top + 1)
     g = weight[0] = gamma(mu + 1.0)
     for k in range(1, n_top // 2 + 1):
         weight[2 * k] = (mu + 2 * k) * g
         g *= (mu + k) / (k + 1)
-    r, u, p = 0.0, weight[n_top], 1.0
-    for n in range(n_top, 0, -1):
-        r = z / (2.0 * (mu + n) - z * r)
-        u = weight[n - 1] + u * r
-        if n <= m:
-            p = p * r
+    if len(segments) == 1:
+        _, u, p = _miller_steps(mu, m, z, weight, n_top, 0,
+                                0.0, weight[n_top], 1.0)
+    else:
+        r, u, p = np.zeros_like(z), np.empty_like(z), np.ones_like(z)
+        for n, k in reversed(segments):
+            u[:k] = weight[n]
+        ends = [n for n, _ in segments[1:]] + [0]
+        for (n_hi, k), n_lo in zip(segments, ends):
+            r[:k], u[:k], p[:k] = _miller_steps(
+                mu, m, z[:k], weight, n_hi, n_lo, r[:k], u[:k], p[:k])
     # np.power, unlike **, rounds a float exactly as it rounds an array
     return np.power(z, mu) / 2.0 ** mu * p / u
 
@@ -166,12 +187,17 @@ def bessel_j(order, z: float) -> float:
     if z == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     if z <= MILLER_Z_MAX or nu >= MILLER_ORDER_RATIO * z:
-        return float(_bessel_miller(nu, float(z)))
+        z = float(z)
+        return float(_bessel_miller(nu, z, [(_miller_start(nu, z), 1)]))
     return float(_bessel_large_z(nu, float(z)))
 
 
 def bessel_j_array(order, z: np.ndarray) -> np.ndarray:
-    """bessel_j over an array of arguments z, for a single order."""
+    """bessel_j over an array of arguments z of any shape, for a single order.
+
+    Each row (last axis) gets the bits of a 1-D call on it: its Miller
+    elements start at _miller_start of their largest, in one recurrence
+    shared by all rows."""
     nu = _order_value(order)
     z = np.asarray(z, dtype=float)
     if not np.all((z >= 0.0) & (z < np.inf)):
@@ -181,7 +207,24 @@ def bessel_j_array(order, z: np.ndarray) -> np.ndarray:
     out[zero] = 1.0 if nu == 0.0 else 0.0
     small = (~zero) & ((z <= MILLER_Z_MAX) | (nu >= MILLER_ORDER_RATIO * z))
     if small.any():
-        out[small] = _bessel_miller(nu, z[small])
+        zs = z[small]
+        width = z.shape[-1] if z.ndim else 1
+        counts = np.count_nonzero(small.reshape(-1, width), axis=1)
+        counts = counts[counts > 0]
+        firsts = np.cumsum(counts) - counts
+        tops = [_miller_start(nu, float(x)) for x in np.maximum.reduceat(zs, firsts)]
+        # rows by decreasing start, so the elements still running form a prefix
+        rows = sorted(range(len(tops)), key=lambda i: -tops[i])
+        segments = list({tops[i]: int(k)
+                         for i, k in zip(rows, np.cumsum(counts[rows]))}.items())
+        if rows == sorted(rows):
+            out[small] = _bessel_miller(nu, zs, segments)
+        else:
+            perm = np.concatenate([np.arange(firsts[i], firsts[i] + counts[i])
+                                   for i in rows])
+            vals = np.empty_like(zs)
+            vals[perm] = _bessel_miller(nu, zs[perm], segments)
+            out[small] = vals
     big = (~zero) & ~small
     if big.any():
         out[big] = _bessel_large_z(nu, z[big])

@@ -264,7 +264,7 @@ class TestEigensolvers:
         assert shifted - base == pytest.approx(0.37, abs=1e-10)
 
     def test_array_and_callable_agree(self):
-        nodes = en.sphere_polar_nodes(200)
+        nodes = en.sphere_polar_nodes()
         fv = np.cos(nodes)
         a = en.sphere_min_eigenvalue(fv, 3)
         b = en.sphere_min_eigenvalue(lambda ph: np.cos(ph), 3)
@@ -325,7 +325,7 @@ class TestNormEquivalence:
             sup_bound=1.0, lower_bound=0.0)
         tf = en.random_suite(n, count=1)[0]
         radii = en._support_radii(tf, n)
-        nodes = en.sphere_polar_nodes(200)
+        nodes = en.sphere_polar_nodes()
         per_radius = [en.sphere_min_eigenvalue(fpot.func(r, nodes), n)
                       + 0.25 for r in radii]
         calls = []

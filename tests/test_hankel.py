@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isqwave import hankel
 from isqwave.hankel import (
     GridTooCoarse,
     RadialField,
@@ -113,6 +114,28 @@ class TestTransform:
             errs.append(abs(norm_r_dr(h) - norm_r_dr(f)) / norm_r_dr(f))
         assert errs[1] < errs[0]
         assert errs[0] < 1e-3
+
+
+def test_table_slot_never_serves_stale_values():
+    # transforms onto one output grid alternate in order, in r_max (which
+    # moves every node) and in field values; each must give the bits of a
+    # first call made with an empty slot
+    out = RadialGrid(np.linspace(0.1, 4.0, 30), 4.0)
+    fields = []
+    for r_max in (12.0, 9.7):
+        g = graded_grid(r_max, 80)
+        for width in (1.0, 0.8):
+            vals = g.points * np.exp(-g.points ** 2 / (2 * width ** 2))
+            fields.append(RadialField(g, vals))
+    cases = [(f, nu) for f in fields for nu in (1.0, 2.5)]
+    first = []
+    for f, nu in cases:
+        hankel._table_slot.clear()
+        first.append(hankel_transform(f, nu, out).values)
+    for k in (0, 3, 1, 0, 5, 4, 7, 2, 6, 6, 0):
+        f, nu = cases[k]
+        again = hankel_transform(f, nu, out).values
+        assert again.tobytes() == first[k].tobytes(), k
 
 
 class TestInvolution:

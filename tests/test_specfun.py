@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isqwave import specfun
 from isqwave.quadrature import integrate_adaptive
 from isqwave.specfun import (
+    MILLER_ORDER_RATIO,
+    MILLER_Z_MAX,
     DomainError,
     bessel_j,
     bessel_j_array,
@@ -132,6 +135,46 @@ def test_array_matches_scalar():
         vals = bessel_j_array(nu, z)
         for zi, vi in zip(z, vals):
             assert vi == pytest.approx(bessel_j(nu, float(zi)), abs=1e-13)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def row_strategy(nu: float, width: int):
+    """One row of arguments: mixed zero / Miller / large-z elements, only
+    large-z ones, or ones above MILLER_Z_MAX kept on Miller by nu >= 0.75 z."""
+    large = st.floats(MILLER_Z_MAX, 400.0, exclude_min=True)
+    by_order = st.floats(MILLER_Z_MAX, max(MILLER_Z_MAX, nu / MILLER_ORDER_RATIO))
+    mixed = st.one_of(st.just(0.0), st.floats(1e-3, MILLER_Z_MAX), large, by_order)
+    return st.one_of(*(st.lists(e, min_size=width, max_size=width)
+                       for e in (mixed, large, by_order)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(0.0, 60.0), st.integers(1, 6), st.integers(1, 9), st.data())
+def test_rows_match_one_dimensional_calls(nu, n_rows, width, data):
+    z = np.array([data.draw(row_strategy(nu, width)) for _ in range(n_rows)])
+    table = bessel_j_array(nu, z)
+    for row, vals in zip(z, table):
+        assert same_bits(vals, bessel_j_array(nu, row)), (nu, row)
+
+
+def test_rows_with_three_miller_starts():
+    # each row's largest Miller element sets its own start; the shared
+    # recurrence must give every row the bits of its own 1-D call
+    nu = 1.3
+    z = np.array([[0.2, 0.0, 0.7, 45.0],
+                  [3.0, 25.0, 1.5, 0.0],
+                  [19.5, 8.0, 60.0, 0.4]])
+    starts = {specfun._miller_start(nu, row[(row > 0.0) & (row <= MILLER_Z_MAX)].max())
+              for row in z}
+    assert len(starts) == 3
+    table = bessel_j_array(nu, z)
+    for row, vals in zip(z, table):
+        assert same_bits(vals, bessel_j_array(nu, row))
+        for zi, vi in zip(row, vals):
+            assert abs(vi - float(mpmath.besselj(nu, zi))) <= 1e-13, zi
 
 
 def test_recurrence_in_order():

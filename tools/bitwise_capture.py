@@ -22,6 +22,12 @@ directory. The JSON printed holds
                   points), of cone_limits at seeded jump-range draws, of
                   synthesize_kernel in both regions, and one
                   oracle.mollified_kernel as hex
+    hankel        digests of bessel_j_array on 1-D arrays mixing zero,
+                  Miller and large-z arguments at orders 0, 0.5, 1.3, 2
+                  and 12; of hankel_transform applied twice over the
+                  benchmark's 80/160/320 involution chain at orders 0,
+                  0.5, 1.3 and 2; verify_involution on that chain as hex;
+                  and the eigen pair H(L g), H(g) at 4 and 120 wavenumbers
     csv           sha256 of the --reproducible CSVs of `verify --quick`,
                   `verify`, `symbol-audit` and `energy-audit`
 
@@ -40,8 +46,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
 STREAM = 4096               # AuditScan samples per alpha and chart
+WIDTH = 0.8                 # involution profile r^nu exp(-r^2 / (2 WIDTH^2))
 CLI_RUNS = {
     "verify-quick": ["verify", "--quick"],
     "verify": ["verify"],
@@ -163,6 +172,37 @@ def kernel_values(ker, orc) -> dict:
             "synthesize": synth, "mollified": float(mollified).hex()}
 
 
+def hankel_values(hk, sf) -> dict:
+    rng = random.Random(0x4841)
+    bessel = {}
+    for nu in (0.0, 0.5, 1.3, 2.0, 12.0):
+        z = [0.0, 0.0] + [rng.uniform(1e-3, 20.0) for _ in range(300)] \
+            + [rng.uniform(20.0, 120.0) for _ in range(300)]
+        rng.shuffle(z)
+        bessel[repr(nu)] = _digest([_hex(sf.bessel_j_array(nu, np.array(z)))])
+    chain, involution = [], []
+    for nu in (0.0, 0.5, 1.3, 2.0):
+        for n in (80, 160, 320):
+            g = hk.graded_grid(12.0, n)
+            r = g.points
+            f = hk.RadialField(g, r ** nu * np.exp(-r ** 2 / (2.0 * WIDTH ** 2)))
+            once = hk.hankel_transform(f, nu, g)
+            chain.append(_hex(once.values)
+                         + _hex(hk.hankel_transform(once, nu, g).values))
+            involution.append(hk.verify_involution(f, nu).hex())
+    eigen = {}
+    g = hk.graded_grid(12.0, 160)
+    f = hk.RadialField(g, g.points ** 2 * np.exp(-g.points ** 2 / 2.0))
+    for nu in (0.5, 2.0):
+        for k in (4, 120):
+            lam = hk.RadialGrid(np.linspace(0.05, 6.0, k), 6.0)
+            left = hk.hankel_transform(hk.apply_radial_operator(f, nu), nu, lam)
+            right = hk.hankel_transform(f, nu, lam)
+            eigen[f"{nu!r}/{k}"] = _digest([_hex(left.values), _hex(right.values)])
+    return {"bessel_j_array": bessel, "transforms": _digest(chain),
+            "verify_involution": involution, "eigen": eigen}
+
+
 def csv_digests(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = {}
@@ -181,12 +221,14 @@ def main(argv: list) -> int:
     if not (tree / "src" / "isqwave" / "__init__.py").is_file():
         raise SystemExit(f"bitwise_capture: no isqwave package under {tree / 'src'}")
     sys.path.insert(0, str(tree / "src"))
-    from isqwave import energy as en, geodesic as geo, kernel as ker, oracle as orc
+    from isqwave import energy as en, geodesic as geo, hankel as hk, kernel as ker
+    from isqwave import oracle as orc, specfun as sf
 
     out = {"flows": flows(geo), "samples": samples(geo, en),
            "audits": audits(geo, en), "dual_route": dual_route(geo, en),
            "alpha_star": en.alpha_star().hex(),
-           "kernel": kernel_values(ker, orc), "csv": csv_digests(tree)}
+           "kernel": kernel_values(ker, orc), "hankel": hankel_values(hk, sf),
+           "csv": csv_digests(tree)}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
