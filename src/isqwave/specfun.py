@@ -217,14 +217,11 @@ def bessel_j_array(order, z: np.ndarray) -> np.ndarray:
         rows = sorted(range(len(tops)), key=lambda i: -tops[i])
         segments = list({tops[i]: int(k)
                          for i, k in zip(rows, np.cumsum(counts[rows]))}.items())
-        if rows == sorted(rows):
-            out[small] = _bessel_miller(nu, zs, segments)
-        else:
-            perm = np.concatenate([np.arange(firsts[i], firsts[i] + counts[i])
-                                   for i in rows])
-            vals = np.empty_like(zs)
-            vals[perm] = _bessel_miller(nu, zs[perm], segments)
-            out[small] = vals
+        perm = np.concatenate([np.arange(firsts[i], firsts[i] + counts[i])
+                               for i in rows])
+        vals = np.empty_like(zs)
+        vals[perm] = _bessel_miller(nu, zs[perm], segments)
+        out[small] = vals
     big = (~zero) & ~small
     if big.any():
         out[big] = _bessel_large_z(nu, z[big])

@@ -160,17 +160,39 @@ def test_rows_match_one_dimensional_calls(nu, n_rows, width, data):
         assert same_bits(vals, bessel_j_array(nu, row)), (nu, row)
 
 
-def test_rows_with_three_miller_starts():
+def test_rows_with_three_miller_starts(monkeypatch):
     # each row's largest Miller element sets its own start; the shared
-    # recurrence must give every row the bits of its own 1-D call
+    # recurrence must give every row the bits of its own 1-D call. Starts
+    # rise row by row here, so the rows run in reverse order.
     nu = 1.3
     z = np.array([[0.2, 0.0, 0.7, 45.0],
                   [3.0, 25.0, 1.5, 0.0],
                   [19.5, 8.0, 60.0, 0.4]])
-    starts = {specfun._miller_start(nu, row[(row > 0.0) & (row <= MILLER_Z_MAX)].max())
-              for row in z}
-    assert len(starts) == 3
+    miller = [row[(row > 0.0) & (row <= MILLER_Z_MAX)] for row in z]
+    starts = [specfun._miller_start(nu, m.max()) for m in miller]
+    assert starts == sorted(set(starts))
+    # one run per start, from the highest down to the next, over the
+    # elements of the rows that have joined by then
+    ends = starts[::-1][1:] + [0]
+    prefixes = np.cumsum([len(m) for m in miller][::-1]).tolist()
+    expected = list(zip(starts[::-1], ends, prefixes))
+
+    runs = []
+    steps = specfun._miller_steps
+
+    def recorded(mu, m, zk, weight, n_hi, n_lo, r, u, p):
+        # the elements joining here enter as their own 1-D run starts
+        joined = runs[-1][2] if runs else 0
+        for state, start in zip((r, u, p), (0.0, weight[n_hi], 1.0)):
+            state = np.broadcast_to(state, np.shape(zk))[joined:]
+            assert np.all(state == start), (n_hi, state)
+        runs.append((n_hi, n_lo, np.size(zk)))
+        return steps(mu, m, zk, weight, n_hi, n_lo, r, u, p)
+
+    monkeypatch.setattr(specfun, "_miller_steps", recorded)
     table = bessel_j_array(nu, z)
+    monkeypatch.undo()
+    assert runs == expected
     for row, vals in zip(z, table):
         assert same_bits(vals, bessel_j_array(nu, row))
         for zi, vi in zip(row, vals):
