@@ -12,9 +12,9 @@ integer: that is the observable this module exists to measure.
 Each region integral is one numpy-ufunc integrand, for arrays and scalars alike, run by
 quadrature.integrate_smooth: its Gauss-Legendre ladder, or adaptive GK15 next to a cone.
 Only cos(nu * phase) (exp(-nu * phase) in the diffractive integral) depends on the mode.
-Each integrand keeps the other node terms of its last point, per rule size, once a second
-mode visits that point, so a mode sum at one point pays for them once; every value is
-the double the untabulated integrand gives.
+Each integrand keeps the other node terms of its last point, joined over the held depth
+(the rungs the last mode there needed); a further mode is one evaluation on that block,
+forming no nodes. Every value is the double the untabulated integrand gives.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_decaying, integrate_smooth
+from .quadrature import GAUSS_LADDER, integrate_decaying, integrate_smooth
 from .specfun import bessel_j, legendre_q_shifted
 
 _INNER_TOL = 1e-11          # quadrature tolerance inside kernel integrals
 EPS_CONE_FACTOR = 1e-6      # default cone band is this times (r1 + r2 + t)
 _BETA_SCALED = math.asinh(sys.float_info.max / 4.0)  # diffractive_integral rescales here
-_node_slots: dict = {}      # integrand kind -> (last key, {rule size: factors})
+_node_slots: dict = {}      # integrand kind -> (last key, {rule size, "block": terms})
 
 
 class KernelError(Exception):
@@ -108,28 +108,40 @@ def _integrate_modes(key, factors, wave, rate: float, a: float, b: float) -> flo
     """integrate_smooth over [a, b] at _INNER_TOL of weight * wave(rate * phase)
     / root, where (weight, phase, root) = factors(x) (weight None: 1) are the
     node terms that do not depend on the mode; key, led by the integrand's
-    kind, names the geometry they do depend on. The kind's slot keeps them
-    per rule size for its last key, so a further mode at that key costs one
-    wave and two products per ladder rung. Scalar nodes (the adaptive
-    fallback) always form them in place."""
+    kind, names the geometry they do depend on. The kind's slot keeps, for its
+    last key, each rung's terms as a first mode forms them (no copies) and,
+    under "block", their join over the held depth; a further mode evaluates
+    the integrand once on it for integrate_smooth, forms a deeper rung once,
+    and re-joins the block if its depth differs. Scalar nodes (the adaptive
+    fallback) always form the terms in place."""
     held, tables = _node_slots.get(key[0], (None, None))
     if held != key:
         tables = {}
         _node_slots[key[0]] = (key, tables)
 
-    def integrand(x):
-        if isinstance(x, float):
-            weight, phase, root = factors(x)
-        else:
-            fx = tables.get(len(x))
-            if fx is None:
-                fx = tables[len(x)] = factors(x)
-            weight, phase, root = fx
+    def integrand(x, terms=None):
+        if terms is None:
+            terms = factors(x) if isinstance(x, float) else tables.get(len(x))
+            if terms is None:
+                terms = tables[len(x)] = factors(x)
+        weight, phase, root = terms
         if weight is None:
             return wave(rate * phase) / root
         return weight * wave(rate * phase) / root
 
-    return integrate_smooth(integrand, a, b, _INNER_TOL).value
+    if not tables:
+        return integrate_smooth(integrand, a, b, _INNER_TOL).value
+
+    def join(depth):
+        return [None if parts[0] is None else np.concatenate(parts)
+                for parts in zip(*(tables[n] for n in GAUSS_LADDER[:depth]))]
+
+    joined = tables.get("block") or join(len(tables))
+    block = integrand(None, joined)
+    res = integrate_smooth(integrand, a, b, _INNER_TOL, block)
+    tables["block"] = (joined if sum(GAUSS_LADDER[:res.rungs]) == len(block)
+                       else join(res.rungs))
+    return res.value
 
 
 def _region_ii_value(nu: float, p: KernelPoint) -> float:

@@ -7,7 +7,9 @@ Four entry points:
  * integrate_endpoint_singular -- integrands with inverse-square-root blowup at a and/or b
  * integrate_decaying          -- semi-infinite integrals of exponentially damped integrands
 
-All four return a QuadResult; the adaptive ones share one evaluation budget per call.
+All four return a QuadResult and raise ValueError at entry for a non-finite bound, tol or
+decay_rate_hint; the adaptive ones share one evaluation budget per call. integrate_smooth
+reads its first rungs off a block of f's values on their joined nodes, where given.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +42,11 @@ class BadHint(QuadratureError):
     """Tail samples of a 'decaying' integrand do not decay at the hinted rate."""
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
+    rungs: int = 0          # Gauss-Legendre rules integrate_smooth ran (its held depth)
 
 
 # 15-point Kronrod extension of 7-point Gauss (abscissae on [-1, 1], symmetric).
@@ -92,8 +94,8 @@ def integrate_adaptive(f, a: float, b: float, tol: float = DEFAULT_TOL,
     The worst interval (largest local Kronrod-Gauss discrepancy) is bisected
     until the summed error estimate drops below tol or the budget runs out.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(a) and math.isfinite(b) and 0 < tol < math.inf):
+        raise ValueError(f"a, b, tol must be finite and tol > 0: got {a!r}, {b!r}, {tol!r}")
     if b < a:
         raise ValueError("need a <= b")
     if b == a:
@@ -159,28 +161,36 @@ def gauss_legendre(n: int):
     return rule
 
 
-def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
+def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_TOL,
+                     block=()) -> QuadResult:
     """Integrate an analytic f over [a, b] on a ladder of Gauss-Legendre rules.
 
-    f maps an array of nodes to its values. The GAUSS_LADDER rules run in turn, one call
-    of f each, until a value is within tol of the one before (the error estimate); if none
-    settles, integrate_adaptive runs on f at scalars and its errors propagate.
+    f maps an array of nodes to its values. The GAUSS_LADDER rules run in turn until a
+    value is within tol of the one before (the error estimate); if none settles,
+    integrate_adaptive runs on f at scalars and its errors propagate. A rule's values are
+    its slice of block (f on the first rules' nodes, joined in ladder order) where block
+    covers it, else one call of f; evaluations counts block and f's nodes.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(a) and math.isfinite(b) and 0 < tol < math.inf):
+        raise ValueError(f"a, b, tol must be finite and tol > 0: got {a!r}, {b!r}, {tol!r}")
     if b < a:
         raise ValueError("need a <= b")
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    evals, prev = 0, math.nan
-    for n in GAUSS_LADDER:
+    evals, prev, end = len(block), math.nan, 0
+    for rungs, n in enumerate(GAUSS_LADDER, 1):
         x, w = gauss_legendre(n)
-        val = h * float(w @ f(c + h * x))
-        evals += n
+        end += n
+        if end <= len(block):
+            fx = block[end - n:end]
+        else:
+            fx, evals = f(c + h * x), evals + n
+        val = h * float(w.dot(fx))
         if abs(val - prev) <= tol:
-            return QuadResult(val, abs(val - prev), evals)
+            return QuadResult(val, abs(val - prev), evals, rungs)
         prev = val
     res = integrate_adaptive(f, a, b, tol)
-    return QuadResult(float(res.value), float(res.error_estimate), evals + res.evaluations)
+    return QuadResult(float(res.value), float(res.error_estimate),
+                      evals + res.evaluations, rungs)
 
 
 def integrate_endpoint_singular(f, a: float, b: float,
@@ -192,6 +202,8 @@ def integrate_endpoint_singular(f, a: float, b: float,
     endpoint into a smooth integrand; the endpoints themselves are never
     sampled because the underlying panel rule is open.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(tol)):
+        raise ValueError(f"a, b and tol must be finite, got {a!r}, {b!r}, {tol!r}")
     if b < a:
         raise ValueError("need a <= b")
     if b == a:
@@ -224,8 +236,9 @@ def integrate_decaying(f, a: float, tol: float = DEFAULT_TOL,
     contradiction raises BadHint.
     """
     kappa = decay_rate_hint
-    if kappa <= 0:
-        raise ValueError("decay_rate_hint must be positive")
+    if not (math.isfinite(a) and 0 < tol < math.inf and 0 < kappa < math.inf):
+        raise ValueError("a, tol, decay_rate_hint must be finite, tol and decay_rate_hint "
+                         f"> 0: got {a!r}, {tol!r}, {kappa!r}")
     # empirical amplitude for the tail bound M*exp(-kappa*(s-a))
     M = 0.0
     for k in range(8):

@@ -28,6 +28,7 @@ from isqwave.kernel import (
     Region,
     classify_region,
     cone_limits,
+    cone_sides,
     diffractive_integral,
     diffractive_jump,
     is_mode_jump_nonzero,
@@ -36,7 +37,7 @@ from isqwave.kernel import (
     synthesize_kernel,
     verify_lipschitz_hankel,
 )
-from isqwave.quadrature import integrate_adaptive
+from isqwave.quadrature import GAUSS_LADDER, integrate_adaptive, integrate_smooth
 
 mp.mp.dps = 30
 
@@ -295,6 +296,23 @@ class TestClosedForms:
     def test_region_iii(self, nu, r1, r2, x):
         assert self.error(nu, r1, r2, (r1 + r2) * x) <= 1e-14
 
+    def test_cone_sides_per_offset(self):
+        # each side of cone_sides at its default offsets, so that the
+        # kernel's error next to the outer cone is seen apart from
+        # extrapolate_to_cone's; draws from the benchmark's jump ranges.
+        # Measured over 25,200 sides of 2,100 draws: 1.24e-12 behind the
+        # cone, 9.8e-13 in front of it, both at the largest offset
+        rng = random.Random(17)
+        for _ in range(24):
+            m = mode_params(rng.randrange(4), rng.uniform(0.05, 3.95))
+            r2 = rng.uniform(0.5, 1.5)
+            t = r2 + rng.uniform(0.5, 1.5)
+            deltas, sides = cone_sides(m, r2, t)
+            for d, pair in zip(deltas, sides):
+                for got, r1 in zip(pair, (t - r2 - d, t - r2 + d)):
+                    want = legendre_kernel(m.nu, r1, r2, t)
+                    assert float(abs(got - want) / max(1, abs(want))) <= 5e-12
+
 
 class TestNodeTables:
     """The integrands keep their mode-independent node terms per point; a value
@@ -359,6 +377,85 @@ class TestNodeTables:
         assert kernel._node_slots["III"][0] == ("III", beta, p.r1 * p.r2)
         assert kernel._node_slots["diffractive"][0] == ("diffractive", beta)
         assert all(tables for _, tables in kernel._node_slots.values())
+
+    def sweep(self, modes, p, eps=None):
+        """The values of modes visited in turn at p, each one's cold value, and
+        after each visit the node count of every kind's held block (0: none)."""
+        self.forget()
+        warm, blocks = [], []
+        for m in modes:
+            warm.append(mode_kernel(m, p, eps).hex())
+            blocks.append({kind: len(tables["block"][2]) if "block" in tables else 0
+                           for kind, (_, tables) in kernel._node_slots.items()})
+        cold = []
+        for m in modes:
+            self.forget()
+            cold.append(mode_kernel(m, p, eps).hex())
+        return warm, cold, blocks
+
+    @pytest.mark.parametrize("order", [range(301), range(300, -1, -1)],
+                             ids=["rising", "falling"])
+    def test_region_ii_depth_sweeps(self, order):
+        # the held depth follows the modes up or down the ladder
+        p = KernelPoint(1.2, 0.9, 1.5)
+        warm, cold, blocks = self.sweep([mode_params(n, 0.3) for n in order], p)
+        assert warm == cold
+        sizes = [b["II"] for b in blocks[1:]]
+        assert len(set(sizes)) >= 3
+        assert (sizes[-1] > sizes[0]) == (order.step > 0)
+
+    def test_region_iii_sum_holds_both_blocks(self):
+        p = KernelPoint(1.2, 0.9, 2.8)
+        warm, cold, blocks = self.sweep([mode_params(n, 0.3) for n in range(151)], p)
+        assert warm == cold
+        assert blocks[0] == {"III": 0, "diffractive": 0}
+        assert all(b["III"] and b["diffractive"] for b in blocks[1:])
+
+    def test_held_block_falls_to_adaptive(self):
+        # the adaptive-fallback point of TestGaussLadderKernel: no rung of
+        # the main term settles, so its block holds the whole ladder
+        p = KernelPoint(1 - 1e-7, 1.0, 2.0)
+        modes = [mode_params(n, 0.3) for n in (1, 2, 3)]
+        warm, cold, blocks = self.sweep(modes, p, 5e-8)
+        assert warm == cold
+        assert [b["III"] for b in blocks] == [0] + [sum(GAUSS_LADDER)] * 2
+
+    def test_held_depth_costs_one_wave_and_no_factors(self, monkeypatch):
+        calls = {"factors": 0, "wave": 0, "nodes": 0}
+
+        def factors(w):
+            calls["factors"] += 1
+            return 2.0 * w, 1.5 - w * w, np.sqrt(2.0 + np.cos(w))
+
+        def wave(z):
+            calls["wave"] += 1
+            calls["nodes"] += z.size
+            return np.cos(z)
+
+        results = []
+
+        def spy(*args):
+            results.append(integrate_smooth(*args))
+            return results[-1]
+
+        monkeypatch.setattr(kernel, "integrate_smooth", spy)
+        self.forget()
+        key = ("counted", 1.5)
+        # (rate, factors calls, wave calls, evaluations, rungs): a first mode
+        # at the key forms 2 rungs; a deeper one evaluates that block once
+        # and forms rungs 3 and 4; the depth then falls, each mode covered
+        # by the last
+        for rate, *want in ((20.0, 2, 2, 96, 2), (90.0, 2, 3, 480, 4),
+                            (89.0, 0, 1, 480, 4), (40.0, 0, 1, 480, 3),
+                            (3.0, 0, 1, 224, 2)):
+            before = dict(calls)
+            kernel._integrate_modes(key, factors, wave, rate, 0.0, 1.2)
+            res = results[-1]
+            assert [calls["factors"] - before["factors"],
+                    calls["wave"] - before["wave"], res.evaluations,
+                    res.rungs] == want
+            # evaluations counts the nodes at which the integrand was evaluated
+            assert res.evaluations == calls["nodes"] - before["nodes"]
 
 
 class TestDiffractiveIntegral:

@@ -223,3 +223,73 @@ def test_smooth_rejects_bad_input():
         integrate_smooth(np.cos, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_smooth(np.cos, 0.0, 1.0, -1e-10)
+
+
+ENTRY_CALLS = {
+    "smooth-tol": lambda f, x: integrate_smooth(f, 0.0, 10.0, x),
+    "smooth-a": lambda f, x: integrate_smooth(f, x, 10.0),
+    "smooth-b": lambda f, x: integrate_smooth(f, 0.0, x),
+    "adaptive-tol": lambda f, x: integrate_adaptive(f, 0.0, 50.0, x),
+    "adaptive-a": lambda f, x: integrate_adaptive(f, x, 1.0),
+    "adaptive-b": lambda f, x: integrate_adaptive(f, 0.0, x),
+    "singular-tol": lambda f, x: integrate_endpoint_singular(f, 0.0, 1.0, x),
+    "singular-a": lambda f, x: integrate_endpoint_singular(f, x, 1.0),
+    "singular-b": lambda f, x: integrate_endpoint_singular(f, 0.0, x),
+    "decaying-a": lambda f, x: integrate_decaying(f, x),
+    "decaying-tol": lambda f, x: integrate_decaying(f, 0.0, x),
+    "decaying-hint": lambda f, x: integrate_decaying(f, 0.0, decay_rate_hint=x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ENTRY_CALLS.values(), ids=ENTRY_CALLS.keys())
+def test_non_finite_arguments_rejected_at_entry(entry, bad):
+    # without the entry check, integrate_adaptive(cos, 0, 50, tol=nan) gave
+    # 2.058 (the integral is -0.262), integrate_smooth ran its whole ladder
+    # before the adaptive routine's one-panel value, and an infinite bound
+    # met math.cos(inf)
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return np.exp(-s) * np.cos(s)
+
+    with pytest.raises(ValueError, match="must be finite"):
+        entry(f, bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9])
+def test_decaying_rejects_non_positive_tol_at_entry(tol):
+    # without the check, tol = 0 raised ZeroDivisionError from the truncation
+    # point's log(2 M / (kappa tol)), and a negative tol a math domain error
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return math.exp(-s)
+
+    with pytest.raises(ValueError, match="tol and decay_rate_hint > 0"):
+        integrate_decaying(f, 0.0, tol)
+    assert calls == []
+
+
+def test_smooth_block_serves_its_rungs():
+    # f on the concatenated nodes of the first three rules: the ladder takes
+    # each rule's slice, stops where it did without the block, and counts
+    # every node of the block as evaluated
+    cold = integrate_smooth(np.cos, 0.0, 1.0, 1e-12)
+    assert (cold.evaluations, cold.rungs) == (96, 2)
+    nodes = np.concatenate([0.5 + 0.5 * gauss_legendre(n)[0] for n in GAUSS_LADDER[:3]])
+    calls = []
+
+    def f(s):
+        calls.append(len(s))
+        return np.cos(s)
+
+    held = integrate_smooth(f, 0.0, 1.0, 1e-12, np.cos(nodes))
+    assert (held.value.hex(), held.evaluations, held.rungs, calls) == \
+        (cold.value.hex(), 224, 2, [])
+    short = integrate_smooth(f, 0.0, 1.0, 1e-12, np.cos(nodes[:32]))
+    assert (short.value.hex(), short.evaluations, short.rungs, calls) == \
+        (cold.value.hex(), 96, 2, [64])

@@ -19,7 +19,12 @@ directory. The JSON printed holds
     kernel        digests of mode_kernel over the benchmark's mode-sum
                   ranges (a = 0, every mode n <= 300 between the cones and
                   n <= 150 behind the outer cone, in order, at seeded
-                  points), of cone_limits at seeded jump-range draws, of
+                  points), of the benchmark's mode-sum op (its terms
+                  2 cos(n dtheta) K_n and trailing-half average, to
+                  n = 300 between the cones and n = 150 behind the outer
+                  cone), of a region-II and a region-III point visited with
+                  n rising to 300 and then falling back to 0, of
+                  cone_limits at seeded jump-range draws, of
                   synthesize_kernel in both regions, and one
                   oracle.mollified_kernel as hex
     hankel        digests of bessel_j_array on 1-D arrays mixing zero,
@@ -158,6 +163,28 @@ def kernel_values(ker, orc) -> dict:
             p = ker.KernelPoint(r1, r2, t)
             mode_sums.append(_hex(ker.mode_kernel(ker.mode_params(n, 0.0), p)
                                   for n in range(n_max + 1)))
+    op_sums = []
+    for region, n_max in (("II", 300), ("III", 150)):
+        for _ in range(3):
+            r1, r2 = rng.uniform(0.6, 1.4), rng.uniform(0.6, 1.4)
+            if region == "II":
+                s_star = rng.uniform(1.2, 2.0)
+                t = math.sqrt(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(s_star))
+                dth = rng.uniform(0.0, 1.0) * min(0.6, s_star - 1.2)
+            else:
+                t = (r1 + r2) * rng.uniform(1.1, 1.6)
+                dth = rng.uniform(0.0, 0.6)
+            p = ker.KernelPoint(r1, r2, t)
+            terms = [ker.mode_kernel(ker.mode_params(0, 0.0), p)]
+            terms += [2.0 * math.cos(n * dth) * ker.mode_kernel(ker.mode_params(n, 0.0), p)
+                      for n in range(1, n_max + 1)]
+            avg = float(np.mean(np.cumsum(terms)[n_max // 2:]))
+            op_sums.append(_hex(terms + [avg]))
+    sweeps = []
+    for p in (ker.KernelPoint(1.2, 0.9, 1.5), ker.KernelPoint(1.2, 0.9, 2.8)):
+        for order in (range(301), range(300, -1, -1)):
+            sweeps.append(_hex(ker.mode_kernel(ker.mode_params(n, 0.3), p)
+                               for n in order))
     jumps = []
     for _ in range(12):
         r2 = rng.uniform(0.5, 1.5)
@@ -168,7 +195,8 @@ def kernel_values(ker, orc) -> dict:
              for region, t in (("II", 1.4), ("III", 2.6))}
     mollified = orc.mollified_kernel(ker.mode_params(0, 0.3),
                                      ker.KernelPoint(0.7, 1.0, 2.0), 0.02, 1e-3)
-    return {"mode_sums": _digest(mode_sums), "cone_limits": _digest(jumps),
+    return {"mode_sums": _digest(mode_sums), "mode_sum_ops": _digest(op_sums),
+            "depth_sweeps": _digest(sweeps), "cone_limits": _digest(jumps),
             "synthesize": synth, "mollified": float(mollified).hex()}
 
 
