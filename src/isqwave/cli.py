@@ -34,8 +34,6 @@ from .kernel import (KernelPoint, Region, classify_region, cone_sides,
 from .oracle import FDConfig, compare_kernel, solve_mode
 from .specfun import bessel_j, gamma, legendre_q_shifted
 
-__all__ = ["RunConfig", "main"]
-
 DEFAULT_SEED = 0x5EED
 
 EXIT_OK = 0
@@ -376,7 +374,7 @@ def cmd_trace(cfg: RunConfig, sink: CsvSink) -> int:
     for i in idx:
         st = traj.states[i]
         sink.row((float(traj.s_values[i]), st.t, st.r, st.theta[0], st.tau,
-                  st.xi, st.zeta[0], st.xi / st.tau,
+                  st.xi, st.zeta[0], st.xi_hat,
                   float(traj.sigma_values[i])))
     return EXIT_OK
 

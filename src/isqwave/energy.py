@@ -25,24 +25,6 @@ import numpy as np
 from .geodesic import (FlowState, SphereMetric, circle, integrate_flow,
                        zeta_norm_sq)
 
-__all__ = [
-    "EnergyError", "GridTolerance", "PositivityFailure", "TauUnderflow",
-    "SymbolOverflow",
-    "TestFunction", "PotentialProfile", "CommutantParams",
-    "polar_quadrature", "angular_weights",
-    "hardy_check", "quadratic_form", "gradient_norm_sq",
-    "norm_equivalence_check", "norm_equivalence",
-    "sphere_polar_nodes", "sphere_min_eigenvalue",
-    "bump", "phi1", "phi2", "phi3",
-    "cutoff_chi", "cutoff_chi_tilde", "cutoff_chi_prime",
-    "cutoff_chi_tilde_prime",
-    "commutant_symbol", "classify_point", "hamilton_derivative_symbol",
-    "sample_states", "AuditScan", "sign_audit", "alpha_star",
-    "constant_potential", "radial_test_function", "sharpness_profile",
-    "random_suite",
-]
-
-
 class EnergyError(Exception):
     """Failure in the inequality or symbol machinery."""
 
@@ -91,8 +73,6 @@ class TestFunction:
     u: np.ndarray
     du_r: np.ndarray
     du_phi: np.ndarray
-    compact_support: bool = True
-    origin_order: int = 1
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -199,7 +179,9 @@ def _gradient_energy(tf: TestFunction, n: int, aw: np.ndarray) -> float:
 
 
 def gradient_norm_sq(tf: TestFunction, n: int) -> float:
-    """Full gradient energy: radial part plus the r^{-2}-weighted angular part."""
+    """Full gradient energy: radial part plus the r^{-2}-weighted angular part.
+
+    Test reference: tests/test_energy.py::TestQuadraticForm."""
     return _gradient_energy(tf, n, _weights_for(tf, n))
 
 
@@ -211,10 +193,6 @@ def hardy_check(tf: TestFunction, n: int):
     """
     if n < 3:
         raise ValueError("Hardy check needs n >= 3")
-    if not tf.compact_support:
-        raise ValueError("Hardy check needs a compactly supported function")
-    if tf.origin_order < 1:
-        raise ValueError("Hardy check needs u vanishing at the origin")
     aw = _weights_for(tf, n)
     lhs = _radial_integral(tf.r ** (n - 3) * (tf.u ** 2 @ aw), tf.r, "|u/r|^2")
     rhs = _radial_energy(tf, n, aw)
@@ -236,7 +214,9 @@ def _form_and_gradient(tf: TestFunction, f: PotentialProfile, n: int,
 
 
 def quadratic_form(tf: TestFunction, f: PotentialProfile, n: int) -> float:
-    """Q(u): gradient energy plus the r^{-2}-weighted potential term."""
+    """Q(u): gradient energy plus the r^{-2}-weighted potential term.
+
+    Test reference: tests/test_energy.py::TestQuadraticForm."""
     return _form_and_gradient(tf, f, n, _weights_for(tf, n))[0]
 
 
@@ -252,7 +232,8 @@ def sphere_polar_nodes() -> np.ndarray:
 
 
 def sphere_min_eigenvalue(f, n: int) -> float:
-    """Minimum eigenvalue of -Laplacian + f on S^{n-1} for axisymmetric f.
+    """Minimum eigenvalue of -Laplacian + f on S^{n-1} for axisymmetric f,
+    given as its values at sphere_polar_nodes().
 
     Staggered flux discretization of the zero azimuthal sector on the
     _SPHERE_NODES polar nodes; the face weights sin^{n-2} vanish at both
@@ -264,9 +245,7 @@ def sphere_min_eigenvalue(f, n: int) -> float:
         raise ValueError("sphere operator needs n >= 3")
     m = _SPHERE_NODES
     nodes = sphere_polar_nodes()
-    fv = np.asarray(f(nodes) if callable(f) else f, dtype=float)
-    if fv.shape == ():
-        fv = np.full(m, float(fv))
+    fv = np.asarray(f, dtype=float)
     if fv.shape != (m,):
         raise ValueError("potential values must match the polar nodes")
     h = math.pi / m
@@ -413,12 +392,16 @@ def phi3(x: float) -> float:
 
 
 def cutoff_chi(x: float) -> float:
-    """Plateau cutoff: 0 off (-2, 2), 1 on [-1, 1], squared-bump edges."""
+    """Plateau cutoff: 0 off (-2, 2), 1 on [-1, 1], squared-bump edges.
+
+    Test reference: tests/test_energy.py::TestCutoffs."""
     return _cutoffs([_chi_cut(x)])[0]
 
 
 def cutoff_chi_tilde(x: float) -> float:
-    """Step cutoff: 0 for x <= 0, 1 for x >= 1, squared-bump edge between."""
+    """Step cutoff: 0 for x <= 0, 1 for x >= 1, squared-bump edge between.
+
+    Test reference: tests/test_energy.py::TestCutoffs."""
     return _cutoffs([(2.0 * x - 1.0, False)])[0]
 
 

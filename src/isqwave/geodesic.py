@@ -160,6 +160,8 @@ def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     The zeta pairing is the one that conserves sigma together with the
     displayed theta' (so the two momentum equations come from the same
     Hamiltonian pairing).
+
+    Test reference: tests/test_geodesic.py::TestRightHandSides.
     """
     d = len(state.theta)
     return FlowState(*_unpack(_field(_pack(state), g, d, True), d))
@@ -169,6 +171,8 @@ def rescaled_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     """The singular field multiplied by r^2, smooth across r = 0:
     t' = r^2 tau, r' = -r xi, theta' = k zeta/2, tau' = 0,
     xi' = -(xi^2 + |zeta|^2), zeta_l' = -(d_theta_l k^{ij}) zeta_i zeta_j/4.
+
+    Test reference: tests/test_geodesic.py::TestRightHandSides.
     """
     d = len(state.theta)
     return FlowState(*_unpack(_field(_pack(state), g, d, False), d))

@@ -81,14 +81,10 @@ class Region(enum.Enum):
     DIFFRACTIVE_CONE = "DiffractiveCone"
 
 
-def default_eps_cone(p: KernelPoint) -> float:
-    return EPS_CONE_FACTOR * (p.r1 + p.r2 + p.t)
-
-
 def classify_region(p: KernelPoint, eps_cone: float | None = None) -> Region:
     """Locate p relative to the cones t = |r1 - r2| and t = r1 + r2."""
     if eps_cone is None:
-        eps_cone = default_eps_cone(p)
+        eps_cone = EPS_CONE_FACTOR * (p.r1 + p.r2 + p.t)
     if eps_cone <= 0:
         raise ValueError("eps_cone must be > 0")
     inner = abs(p.r1 - p.r2)
@@ -293,13 +289,11 @@ def extrapolate_to_cone(deltas: list, diffs) -> float:
     return float(coeff[0])
 
 
-def cone_limits(m: ModeParams, r2: float, t: float,
-                delta_list: list | None = None) -> float:
+def cone_limits(m: ModeParams, r2: float, t: float) -> float:
     """One-sided limit difference of the kernel across the outer cone: the
-    cone_sides differences (III minus II) extrapolated to delta = 0."""
-    if delta_list is not None and len(delta_list) < 2:
-        raise ValueError("delta_list must hold at least two offsets")
-    deltas, sides = cone_sides(m, r2, t, delta_list)
+    differences (III minus II) at cone_sides' default offsets extrapolated
+    to delta = 0."""
+    deltas, sides = cone_sides(m, r2, t)
     return extrapolate_to_cone(deltas, [iii - ii for iii, ii in sides])
 
 

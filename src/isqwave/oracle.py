@@ -3,16 +3,16 @@
 Solves u_tt = u_rr + u_r/r - nu^2 u/r^2 with zero initial displacement and a
 mollified delta initial velocity, on a staggered grid that never touches
 r = 0. The solver, `solve_mode`, uses nothing from the kernel module; it
-steps on buffers made once per solve and keeps its last (config, source)
+steps on buffers made once per solve and holds its last (config, source)
 field, read-only, so a compare and a leakage check on one problem solve it
-once. The comparison harness does: `mollified_kernel` and `compare_kernel`
-evaluate the analytic mode kernel, and `leakage_ratio` uses its region
+once; a new problem empties that slot before its own solve starts. The
+comparison harness does: `mollified_kernel` and `compare_kernel` evaluate
+the analytic mode kernel, and `leakage_ratio` uses its region
 classification. The harness is the only meeting point of the two code paths.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +25,7 @@ CFL_MODE_FACTOR = 0.95      # dt <= 0.95 dr / sqrt(1 + nu^2), from the 1/r^2 ter
 STORE_EVERY = 10            # time slices kept for interpolation
 MOLLIFIER_SUPPORT = 6.0     # half-support of the Gaussian source, in sigmas
 MIN_CONE_DISTANCE = 3.0     # samples must sit this many sigmas off each cone
+_field_slot: dict = {}      # (config, r0) -> the last solve's ModeField
 
 
 class OracleError(Exception):
@@ -133,8 +134,10 @@ def solve_mode(cfg: FDConfig, r0: float) -> ModeField:
     tightens stability near the axis). Raises BoundaryContamination if the
     outgoing front plus mollifier support would reach r_max before T.
 
-    The guards run on every call. The last (cfg, r0) solved is remembered,
-    so a repeated call returns the same ModeField, whose arrays are read-only.
+    The guards run on every call. The last (cfg, r0) solved is held, so a
+    repeated call returns the same ModeField, whose arrays are read-only; a
+    new problem empties the slot before its solve starts, so the slot's old
+    field is freed first unless a caller still holds it.
     """
     if cfg.dt > CFL_GRID_FACTOR * cfg.dr:
         raise CFLViolation(f"dt={cfg.dt} exceeds {CFL_GRID_FACTOR} dr")
@@ -149,10 +152,13 @@ def solve_mode(cfg: FDConfig, r0: float) -> ModeField:
             f"front reaches {reach:.3f} >= r_max={cfg.r_max} by time T")
     if not (MOLLIFIER_SUPPORT * sigma < r0 < cfg.r_max - cfg.T):
         raise ValueError("source must sit inside the uncontaminated window")
-    return _leapfrog(cfg, r0)
+    field = _field_slot.get((cfg, r0))
+    if field is None:
+        _field_slot.clear()
+        field = _field_slot[cfg, r0] = _leapfrog(cfg, r0)
+    return field
 
 
-@functools.lru_cache(maxsize=1)
 def _leapfrog(cfg: FDConfig, r0: float) -> ModeField:
     n = int(round(cfg.r_max / cfg.dr))
     r = (np.arange(n) + 0.5) * cfg.dr

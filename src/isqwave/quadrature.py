@@ -8,8 +8,8 @@ Four entry points:
  * integrate_decaying          -- semi-infinite integrals of exponentially damped integrands
 
 All four return a QuadResult and raise ValueError at entry for a non-finite bound, tol or
-decay_rate_hint; the adaptive ones share one evaluation budget per call. integrate_smooth
-reads its first rungs off a block of f's values on their joined nodes, where given.
+decay_rate_hint, or a tol <= 0; the adaptive ones share one evaluation budget per call.
+integrate_smooth reads its first rungs off a given block of f's values on their joined nodes.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def integrate_endpoint_singular(f, a: float, b: float,
     endpoint into a smooth integrand; the endpoints themselves are never
     sampled because the underlying panel rule is open.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(tol)):
-        raise ValueError(f"a, b and tol must be finite, got {a!r}, {b!r}, {tol!r}")
+    if not (math.isfinite(a) and math.isfinite(b) and 0 < tol < math.inf):
+        raise ValueError(f"a, b, tol must be finite and tol > 0: got {a!r}, {b!r}, {tol!r}")
     if b < a:
         raise ValueError("need a <= b")
     if b == a:

@@ -142,7 +142,7 @@ class TestFrontScan:
 
     def test_ladder_is_cone_limits_on_each_prefix(self, capsys, monkeypatch):
         # one kernel pair per offset; every extrapolated entry is the fit
-        # cone_limits makes through the offsets up to its row
+        # through the cone_sides differences at the offsets up to its row
         calls = []
         evaluate = kernel.mode_kernel
 
@@ -159,8 +159,9 @@ class TestFrontScan:
         m = kernel.mode_params(0, 0.25)
         column = header.index("extrapolated")
         for k in range(1, len(rows)):
-            assert float(rows[k][column]) == \
-                kernel.cone_limits(m, 1.0, 2.0, deltas[:k + 1])
+            prefix, sides = kernel.cone_sides(m, 1.0, 2.0, deltas[:k + 1])
+            assert float(rows[k][column]) == kernel.extrapolate_to_cone(
+                prefix, [iii - ii for iii, ii in sides])
 
 
 class TestModeTable:

@@ -596,9 +596,7 @@ class TestConeLimits:
         with pytest.raises(ValueError):
             cone_limits(m, 1.0, 0.8)
         with pytest.raises(ValueError):
-            cone_limits(m, 1.0, 2.0, delta_list=[1e-3])
-        with pytest.raises(ValueError):
-            cone_limits(m, 1.0, 2.0, delta_list=[1e-3, 2e-3])
+            cone_sides(m, 1.0, 2.0, [1e-3, 2e-3])
 
 
 class TestSynthesize:

@@ -6,11 +6,13 @@ integrals.
 """
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from isqwave import oracle
 from isqwave.kernel import KernelPoint, mode_params
 from isqwave.oracle import (
     BoundaryContamination,
@@ -143,6 +145,22 @@ class TestSolveMemo:
         again = solve_mode(cfg, 1.0)
         assert again is not first
         assert again.slices.tobytes() == first.slices.tobytes()
+
+    def test_held_field_is_freed_before_a_new_solve(self, monkeypatch):
+        # a miss empties the slot before it builds, so the old field's slices
+        # are not alive beside the new ones (sources unused by other tests)
+        cfg = FDConfig(**QUICK, nu=0.5)
+        held = weakref.ref(solve_mode(cfg, 1.05))
+        assert held() is not None
+        build, alive = oracle._leapfrog, []
+
+        def watched(*args):
+            alive.append(held() is not None)
+            return build(*args)
+
+        monkeypatch.setattr(oracle, "_leapfrog", watched)
+        assert solve_mode(cfg, 1.15).r0 == 1.15
+        assert alive == [False]
 
     def test_field_arrays_are_read_only(self, field):
         for arr in (field.r, field.times, field.slices, field.energies):

@@ -274,6 +274,21 @@ def test_decaying_rejects_non_positive_tol_at_entry(tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9])
+def test_endpoint_singular_names_its_own_arguments(tol):
+    # before the entry check, a tol <= 0 reached integrate_adaptive, whose
+    # message named the mapped half-interval [0, sqrt(m - a)] and tol / 2
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return 1.0 / math.sqrt(1.7 - s)
+
+    with pytest.raises(ValueError, match=f"tol > 0: got 0.2, 1.7, {tol!r}$"):
+        integrate_endpoint_singular(f, 0.2, 1.7, tol)
+    assert calls == []
+
+
 def test_smooth_block_serves_its_rungs():
     # f on the concatenated nodes of the first three rules: the ladder takes
     # each rule's slice, stops where it did without the block, and counts

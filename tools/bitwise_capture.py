@@ -33,6 +33,11 @@ directory. The JSON printed holds
                   benchmark's 80/160/320 involution chain at orders 0,
                   0.5, 1.3 and 2; verify_involution on that chain as hex;
                   and the eigen pair H(L g), H(g) at 4 and 120 wavenumbers
+    oracle        digests of one dr = 1e-3 solve_mode field (its slices
+                  and energies); compare_kernel's relative errors at
+                  DEFAULT_SAMPLES for dr = 4e-3 and 2e-3, and checks.leakage
+                  at 2e-3 (the field the compare just solved) and 1e-3, as
+                  hex; and whether a repeated solve returns the held field
     csv           sha256 of the --reproducible CSVs of `verify --quick`,
                   `verify`, `symbol-audit` and `energy-audit`
 
@@ -231,6 +236,21 @@ def hankel_values(hk, sf) -> dict:
             "verify_involution": involution, "eigen": eigen}
 
 
+def oracle_values(chk, orc) -> dict:
+    cfg = chk.oracle_config(1e-3)
+    field = orc.solve_mode(cfg, 1.0)
+    out = {"field": {"slices": _digest(_hex(row) for row in field.slices),
+                     "energies": _digest([_hex(field.energies)]),
+                     "times": _digest([_hex(field.times)])},
+           "repeat_is_held": orc.solve_mode(cfg, 1.0) is field}
+    pts = [chk.KernelPoint(r1, 1.0, t) for r1, t in chk.DEFAULT_SAMPLES]
+    for dr in (4e-3, 2e-3):
+        out[f"compare/{dr!r}"] = _hex(chk.oracle_errors(dr, pts))
+    for dr in (2e-3, 1e-3):
+        out[f"leakage/{dr!r}"] = float(chk.leakage(dr)).hex()
+    return out
+
+
 def csv_digests(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = {}
@@ -250,12 +270,13 @@ def main(argv: list) -> int:
         raise SystemExit(f"bitwise_capture: no isqwave package under {tree / 'src'}")
     sys.path.insert(0, str(tree / "src"))
     from isqwave import energy as en, geodesic as geo, hankel as hk, kernel as ker
-    from isqwave import oracle as orc, specfun as sf
+    from isqwave import checks as chk, oracle as orc, specfun as sf
 
     out = {"flows": flows(geo), "samples": samples(geo, en),
            "audits": audits(geo, en), "dual_route": dual_route(geo, en),
            "alpha_star": en.alpha_star().hex(),
            "kernel": kernel_values(ker, orc), "hankel": hankel_values(hk, sf),
+           "oracle": oracle_values(chk, orc),
            "csv": csv_digests(tree)}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
