@@ -75,7 +75,8 @@ class ModeField:
             a.setflags(write=False)     # one solve may be shared by callers
 
     def peak(self) -> float:
-        return float(np.max(np.abs(self.slices)))
+        # max |u| without np.abs's temporary copy of the slices
+        return float(max(self.slices.max(), -self.slices.min()))
 
     def sample(self, r1: float, t: float) -> float:
         """Linear interpolation in t between stored slices, then in r."""

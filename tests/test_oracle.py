@@ -6,6 +6,7 @@ integrals.
 """
 
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -126,6 +127,17 @@ class TestSolveProperties:
             field.sample(5.0, 1.0)
         with pytest.raises(ValueError):
             field.sample(1.0, 99.0)
+
+    def test_peak_copies_no_slices(self, field):
+        # np.abs(slices) would allocate a second field for one number
+        tracemalloc.start()
+        try:
+            value = field.peak()
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top < field.slices.nbytes / 10
+        assert value == float(np.max(np.abs(field.slices)))
 
 
 class TestSolveMemo:
