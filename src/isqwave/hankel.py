@@ -173,7 +173,7 @@ def hankel_transform(field: RadialField, order, out_grid: RadialGrid) -> RadialF
                                           field.grid.r_max)
     gv = _local_cubic(field.grid.points, field.values, nodes)
     wgr = weights * gv * nodes
-    # np.vecdot takes each row's own BLAS dot, as np.dot(wgr, row) does
+    # np.vecdot: one BLAS dot per row, where a gemv (table @ wgr) would round otherwise
     return RadialField(out_grid, np.vecdot(table, wgr))
 
 
