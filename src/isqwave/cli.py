@@ -29,7 +29,7 @@ from .energy import (AuditScan, CommutantParams, alpha_star, hardy_check,
                      norm_equivalence, random_suite, sharpness_profile)
 from .geodesic import FlowState, OriginReached, circle, integrate_flow
 from .kernel import (KernelPoint, Region, classify_region, cone_sides,
-                     extrapolate_to_cone, is_mode_jump_nonzero, mode_kernel,
+                     extrapolate_to_cone, is_mode_jump_nonzero, mode_kernel_rows,
                      mode_params)
 from .oracle import FDConfig, compare_kernel, solve_mode
 from .specfun import bessel_j, gamma, legendre_q_shifted
@@ -250,16 +250,13 @@ def cmd_kernel_grid(cfg: RunConfig, sink: CsvSink) -> int:
     ts = np.linspace(p["t_min"], p["t_max"], p["t_points"])
     sink.meta("nu", m.nu)
     sink.header(("r1", "t", "region", "value"))
-    skipped = 0
-    for t in ts:
-        for r1 in r1s:
-            pt = KernelPoint(float(r1), r2, float(t))
-            region = classify_region(pt)
-            if region in (Region.MAIN_CONE, Region.DIFFRACTIVE_CONE):
-                skipped += 1        # kernel has only one-sided limits there
-                continue
-            sink.row((float(r1), float(t), region.value, mode_kernel(m, pt)))
-    sink.meta("cone_rows_skipped", skipped)
+    grid = [KernelPoint(r1, r2, t) for t in ts.tolist() for r1 in r1s.tolist()]
+    # the kernel has only one-sided limits on the cones
+    kept = [(pt, region) for pt, region in zip(grid, map(classify_region, grid))
+            if region not in (Region.MAIN_CONE, Region.DIFFRACTIVE_CONE)]
+    for (pt, region), value in zip(kept, mode_kernel_rows(m, [pt for pt, _ in kept])):
+        sink.row((pt.r1, pt.t, region.value, value))
+    sink.meta("cone_rows_skipped", len(grid) - len(kept))
     return EXIT_OK
 
 

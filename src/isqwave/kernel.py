@@ -14,7 +14,9 @@ quadrature.integrate_smooth: its Gauss-Legendre ladder, or adaptive GK15 next to
 Only cos(nu * phase) (exp(-nu * phase) in the diffractive integral) depends on the mode.
 Each integrand keeps the other node terms of its last point, joined over the held depth
 (the rungs the last mode there needed); a further mode is one evaluation on that block,
-forming no nodes. Every value is the double the untabulated integrand gives.
+forming no nodes. mode_kernel_rows takes one mode at many points (cone_sides, hence
+cone_limits and front-scan; oracle.mollified_kernel; kernel-grid) on one row-batched
+ladder per integral. Every value is the double the untabulated integrand gives.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GAUSS_LADDER, integrate_decaying, integrate_smooth
+from .quadrature import (GAUSS_LADDER, integrate_decaying, integrate_smooth,
+                         integrate_smooth_rows)
 from .specfun import bessel_j, legendre_q_shifted
 
 _INNER_TOL = 1e-11          # quadrature tolerance inside kernel integrals
@@ -101,15 +104,13 @@ def classify_region(p: KernelPoint, eps_cone: float | None = None) -> Region:
 
 
 def _integrate_modes(key, factors, wave, rate: float, a: float, b: float) -> float:
-    """integrate_smooth over [a, b] at _INNER_TOL of weight * wave(rate * phase)
-    / root, where (weight, phase, root) = factors(x) (weight None: 1) are the
-    node terms that do not depend on the mode; key, led by the integrand's
-    kind, names the geometry they do depend on. The kind's slot keeps, for its
-    last key, each rung's terms as a first mode forms them (no copies) and,
-    under "block", their join over the held depth; a further mode evaluates
-    the integrand once on it for integrate_smooth, forms a deeper rung once,
-    and re-joins the block if its depth differs. Scalar nodes (the adaptive
-    fallback) always form the terms in place."""
+    """integrate_smooth over [a, b] at _INNER_TOL of _wave_values(factors(x), wave, rate):
+    factors(x) are the node terms that do not depend on the mode; key, led by the
+    integrand's kind, names the geometry they do depend on. The kind's slot keeps, for
+    its last key, each rung's terms as a first mode forms them (no copies) and, under
+    "block", their join over the held depth; a further mode evaluates the integrand once
+    on it for integrate_smooth, forms a deeper rung once, and re-joins the block if its
+    depth differs. Scalar nodes (the adaptive fallback) always form the terms in place."""
     held, tables = _node_slots.get(key[0], (None, None))
     if held != key:
         tables = {}
@@ -120,10 +121,7 @@ def _integrate_modes(key, factors, wave, rate: float, a: float, b: float) -> flo
             terms = factors(x) if isinstance(x, float) else tables.get(len(x))
             if terms is None:
                 terms = tables[len(x)] = factors(x)
-        weight, phase, root = terms
-        if weight is None:
-            return wave(rate * phase) / root
-        return weight * wave(rate * phase) / root
+        return _wave_values(terms, wave, rate)
 
     if not tables:
         return integrate_smooth(integrand, a, b, _INNER_TOL).value
@@ -140,25 +138,43 @@ def _integrate_modes(key, factors, wave, rate: float, a: float, b: float) -> flo
     return res.value
 
 
-def _region_ii_value(nu: float, p: KernelPoint) -> float:
-    # (1/pi) int_0^{s*} cos(nu s) D(s)^{-1/2} ds with
-    # D(s) = t^2 - r1^2 - r2^2 + 2 r1 r2 cos s = 4 r1 r2 sin((s*+s)/2) sin((s*-s)/2),
-    # s* = arccos((r1^2 + r2^2 - t^2)/(2 r1 r2)). Integrable singularity at s*.
-    # Substituting s = s* - w^2 removes the inverse-square-root endpoint
-    # singularity; sin((s*-s)/2) = sin(w^2/2) is then formed directly from w,
-    # with no cancellation against s*.
+def _wave_values(terms, wave, rate: float):
+    """weight * wave(rate * phase) / root at node terms (weight, phase, root), weight None
+    1. The node terms below broadcast over nodes and columns of per-row geometry."""
+    weight, phase, root = terms
+    if weight is None:
+        return wave(rate * phase) / root
+    return weight * wave(rate * phase) / root
+
+
+# (1/pi) int_0^{s*} cos(nu s) D(s)^{-1/2} ds with
+# D(s) = t^2 - r1^2 - r2^2 + 2 r1 r2 cos s = 4 r1 r2 sin((s*+s)/2) sin((s*-s)/2),
+# s* = arccos((r1^2 + r2^2 - t^2)/(2 r1 r2)). Integrable singularity at s*.
+# Substituting s = s* - w^2 removes the inverse-square-root endpoint
+# singularity; sin((s*-s)/2) = sin(w^2/2) is then formed directly from w,
+# with no cancellation against s*.
+def _region_ii_geometry(p: KernelPoint) -> tuple:
     r1, r2, t = p.r1, p.r2, p.t
     arg = (r1 * r1 + r2 * r2 - t * t) / (2.0 * r1 * r2)
-    s_star = math.acos(min(1.0, max(-1.0, arg)))
-    c = 4.0 * r1 * r2
+    return math.acos(min(1.0, max(-1.0, arg))), 4.0 * r1 * r2
 
-    def factors(w):
-        w2 = w * w
+
+def _region_ii_terms(w, s_star, c):
+    w2 = w * w
+    half = 0.5 * w2
+    return 2.0 * w, s_star - w2, np.sqrt(c * np.sin(s_star - half) * np.sin(half))
+
+
+# s = beta - w^2 as in the region-II integral: sinh((beta-s)/2) becomes
+# sinh(w^2/2), formed from w directly.
+def _diffractive_terms(w, beta, scaled=False):
+    w2 = w * w
+    if scaled:
+        den = np.expm1(w2 - 2.0 * beta) * np.expm1(-w2)
+    else:
         half = 0.5 * w2
-        return 2.0 * w, s_star - w2, np.sqrt(c * np.sin(s_star - half) * np.sin(half))
-
-    return _integrate_modes(("II", s_star, c), factors, np.cos, nu,
-                            0.0, math.sqrt(s_star)) / math.pi
+        den = 4.0 * np.sinh(beta - half) * np.sinh(half)
+    return 2.0 * w, beta - w2, np.sqrt(den)
 
 
 def diffractive_integral(nu: float, beta: float) -> float:
@@ -178,40 +194,30 @@ def diffractive_integral(nu: float, beta: float) -> float:
     if nu < 0:
         raise ValueError("nu must be >= 0")
     scaled = beta >= _BETA_SCALED
-
-    # s = beta - w^2 as in the region-II integral: sinh((beta-s)/2) becomes
-    # sinh(w^2/2), formed from w directly.
-    def factors(w):
-        w2 = w * w
-        if scaled:
-            den = np.expm1(w2 - 2.0 * beta) * np.expm1(-w2)
-        else:
-            half = 0.5 * w2
-            den = 4.0 * np.sinh(beta - half) * np.sinh(half)
-        return 2.0 * w, beta - w2, np.sqrt(den)
-
-    value = _integrate_modes(("diffractive", beta), factors, np.exp, -nu,
+    value = _integrate_modes(("diffractive", beta),
+                             lambda w: _diffractive_terms(w, beta, scaled), np.exp, -nu,
                              0.0, math.sqrt(beta))
     return value * math.exp(-0.5 * beta) if scaled else value
 
 
-def _region_iii_value(nu: float, p: KernelPoint) -> float:
-    # Same integral with s* = pi (now regular at both ends), minus the
-    # diffractive term (1/pi)(r1 r2)^(-1/2) sin(pi nu) * diffractive_integral.
-    # c (2 cosh(beta) + 2 cos(s)) is formed as 2c (cosh(beta) + cos(s)): the
-    # same double short of overflow, as the factors of 2 are exact.
+# Same integral with s* = pi (now regular at both ends), minus the
+# diffractive term (1/pi)(r1 r2)^(-1/2) sin(pi nu) * diffractive_integral.
+# c (2 cosh(beta) + 2 cos(s)) is formed as 2c (cosh(beta) + cos(s)): the
+# same double short of overflow, as the factors of 2 are exact.
+def _region_iii_geometry(p: KernelPoint) -> tuple:
     r1, r2, t = p.r1, p.r2, p.t
     z = (t * t - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
     beta = math.acosh(z)
     c = r1 * r2
-    two_c, cosh_beta = 2.0 * c, math.cosh(beta)
+    return beta, c, 2.0 * c, math.cosh(beta)
 
-    def factors(s):
-        return None, s, np.sqrt(two_c * (cosh_beta + np.cos(s)))
 
-    main = _integrate_modes(("III", beta, c), factors, np.cos, nu, 0.0, math.pi)
-    diff = math.sin(math.pi * nu) * diffractive_integral(nu, beta) / math.sqrt(c)
-    return (main - diff) / math.pi
+def _region_iii_terms(s, two_c, cosh_beta):
+    return None, s, np.sqrt(two_c * (cosh_beta + np.cos(s)))
+
+
+def _region_iii_sum(nu: float, main: float, diffractive: float, c: float) -> float:
+    return (main - math.sin(math.pi * nu) * diffractive / math.sqrt(c)) / math.pi
 
 
 def mode_kernel(m: ModeParams, p: KernelPoint, eps_cone: float | None = None) -> float:
@@ -229,8 +235,54 @@ def mode_kernel(m: ModeParams, p: KernelPoint, eps_cone: float | None = None) ->
             f"point (r1={p.r1}, r2={p.r2}, t={p.t}) lies within the "
             f"{region.value} tolerance band")
     if region is Region.II:
-        return _region_ii_value(m.nu, p)
-    return _region_iii_value(m.nu, p)
+        s_star, c = _region_ii_geometry(p)
+        return _integrate_modes(("II", s_star, c), lambda w: _region_ii_terms(w, s_star, c),
+                                np.cos, m.nu, 0.0, math.sqrt(s_star)) / math.pi
+    beta, c, two_c, cosh_beta = _region_iii_geometry(p)
+    main = _integrate_modes(("III", beta, c), lambda s: _region_iii_terms(s, two_c, cosh_beta),
+                            np.cos, m.nu, 0.0, math.pi)
+    return _region_iii_sum(m.nu, main, diffractive_integral(m.nu, beta), c)
+
+
+def _integrate_rows(terms, params: list, wave, rate: float, b: list) -> list:
+    """_integrate_modes' integral over [0, b[i]] of terms(x, *params[i]) for each row i,
+    on one integrate_smooth_rows ladder (integrate_smooth where none settles)."""
+    cols = [np.array(col)[:, None] for col in zip(*params)]
+
+    def f(rows, x):
+        return _wave_values(terms(x, *(col[rows] for col in cols)), wave, rate)
+
+    return [res.value if res is not None else integrate_smooth(
+        lambda x: _wave_values(terms(x, *prm), wave, rate), 0.0, bi, _INNER_TOL).value
+        for res, prm, bi in zip(integrate_smooth_rows(f, np.zeros(len(b)), b, _INNER_TOL),
+                                params, b)]
+
+
+def mode_kernel_rows(m: ModeParams, points: list, eps_cone: float | None = None) -> list:
+    """[mode_kernel(m, p, eps_cone) for p in points]; a point such a loop refuses raises
+    before the ladders run. The region-II integrals, and each region-III one, run one
+    integrate_smooth_rows ladder, which neither reads nor keeps held node terms; region I,
+    and a region-III point with beta out of (0, asinh(DBL_MAX / 4)), take mode_kernel."""
+    values, ii, iii, nu = [None] * len(points), {}, {}, m.nu
+    for i, p in enumerate(points):
+        region = classify_region(p, eps_cone)
+        if region is Region.II:
+            ii[i] = _region_ii_geometry(p)
+        elif region is Region.III and 0.0 < (g := _region_iii_geometry(p))[0] < _BETA_SCALED:
+            iii[i] = g
+        else:
+            values[i] = mode_kernel(m, p, eps_cone)
+    geo = list(ii.values())
+    for i, v in zip(ii, _integrate_rows(_region_ii_terms, geo, np.cos, nu,
+                                        [math.sqrt(g[0]) for g in geo])):
+        values[i] = v / math.pi
+    geo = list(iii.values())
+    for i, g, main, diff in zip(iii, geo, _integrate_rows(
+            _region_iii_terms, [g[2:] for g in geo], np.cos, nu, [math.pi] * len(geo)),
+            _integrate_rows(_diffractive_terms, [g[:1] for g in geo], np.exp, -nu,
+                            [math.sqrt(g[0]) for g in geo])):
+        values[i] = _region_iii_sum(nu, main, diff, g[1])
+    return values
 
 
 def diffractive_jump(m: ModeParams, r1: float, r2: float) -> float:
@@ -263,16 +315,15 @@ def cone_sides(m: ModeParams, r2: float, t: float,
         scale = 0.04 * (r1c * r2) / (2.0 * t * (1.0 + m.nu * m.nu))
         delta_list = [scale * 0.5 ** k for k in range(6)]
     deltas = [float(d) for d in delta_list]
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValueError("delta_list must hold positive offsets")
+    if not deltas or not all(0 < d < math.inf for d in deltas):
+        raise ValueError("delta_list must hold positive finite offsets")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta_list must be strictly decreasing")
     if deltas[0] >= r1c:
         raise ValueError("largest offset crosses r1 = 0")
-    eps = 0.5 * deltas[-1]
-    return deltas, [(mode_kernel(m, KernelPoint(r1c - d, r2, t), eps_cone=eps),
-                     mode_kernel(m, KernelPoint(r1c + d, r2, t), eps_cone=eps))
-                    for d in deltas]
+    values = mode_kernel_rows(m, [KernelPoint(r1, r2, t) for d in deltas
+                                  for r1 in (r1c - d, r1c + d)], 0.5 * deltas[-1])
+    return deltas, list(zip(values[::2], values[1::2]))
 
 
 def extrapolate_to_cone(deltas: list, diffs) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelPoint, ModeParams, Region, classify_region, mode_kernel
+from .kernel import KernelPoint, ModeParams, Region, classify_region, mode_kernel_rows
 
 CFL_GRID_FACTOR = 0.9       # dt <= 0.9 dr regardless of mode
 CFL_MODE_FACTOR = 0.95      # dt <= 0.95 dr / sqrt(1 + nu^2), from the 1/r^2 term
@@ -196,18 +196,20 @@ def _leapfrog(cfg: FDConfig, r0: float) -> ModeField:
 def mollified_kernel(m: ModeParams, p: KernelPoint, sigma: float,
                      dr: float) -> float:
     """Analytic kernel convolved in the source variable with the same
-    Gaussian mollifier the solver uses (midpoint rule at grid spacing)."""
-    lo = p.r2 - MOLLIFIER_SUPPORT * sigma
-    hi = p.r2 + MOLLIFIER_SUPPORT * sigma
+    Gaussian mollifier the solver uses (midpoint rule at grid spacing), its
+    source radii evaluated in one mode_kernel_rows call."""
+    if not (0 < sigma < math.inf and 0 < dr < math.inf):
+        raise ValueError(f"sigma and dr must be finite and > 0: got {sigma!r}, {dr!r}")
+    lo, hi = p.r2 - MOLLIFIER_SUPPORT * sigma, p.r2 + MOLLIFIER_SUPPORT * sigma
     k = int(math.ceil((hi - lo) / dr))
     rho = lo + (np.arange(k) + 0.5) * (hi - lo) / k
     w = np.exp(-((rho - p.r2) ** 2) / (2.0 * sigma * sigma)) * rho
     w /= w.sum()
-    eps = 1e-12 * (p.r1 + p.r2 + p.t)
+    values = mode_kernel_rows(m, [KernelPoint(p.r1, rho_i, p.t) for rho_i in rho.tolist()],
+                              1e-12 * (p.r1 + p.r2 + p.t))
     total = 0.0
-    for rho_i, w_i in zip(rho, w):
-        total += w_i * mode_kernel(m, KernelPoint(p.r1, float(rho_i), p.t),
-                                   eps_cone=eps)
+    for w_i, value in zip(w, values):
+        total += w_i * value
     return total
 
 

@@ -1,14 +1,15 @@
 """Numerical integration used by every closed-form evaluation in the package.
 
-Four entry points:
+Four entry points, and a row-batched twin of the first:
 
  * integrate_smooth            -- analytic integrands, vectorised, on Gauss-Legendre rules
+ * integrate_smooth_rows       -- integrate_smooth's ladder for many intervals at once
  * integrate_adaptive          -- smooth (piecewise analytic) integrands on [a, b]
  * integrate_endpoint_singular -- integrands with inverse-square-root blowup at a and/or b
  * integrate_decaying          -- semi-infinite integrals of exponentially damped integrands
 
-All four return a QuadResult and raise ValueError at entry for a non-finite bound, tol or
-decay_rate_hint, or a tol <= 0; the adaptive ones share one evaluation budget per call.
+All raise ValueError at entry for a non-finite bound, tol or decay_rate_hint, or a tol <= 0;
+the four return a QuadResult, and the adaptive ones share one evaluation budget per call.
 integrate_smooth reads its first rungs off a given block of f's values on their joined nodes.
 """
 
@@ -24,6 +25,7 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 EVAL_BUDGET = 2 ** 16
 GAUSS_LADDER = (32, 64, 128, 256, 512, 1024)   # rule sizes of integrate_smooth
+_ROW_CHUNK = 2 ** 15        # array elements per f call of integrate_smooth_rows
 
 
 class QuadratureError(Exception):
@@ -65,6 +67,13 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
 
 
+def _check_interval(a: float, b: float, tol: float):
+    if not (math.isfinite(a) and math.isfinite(b) and 0 < tol < math.inf):
+        raise ValueError(f"a, b, tol must be finite and tol > 0: got {a!r}, {b!r}, {tol!r}")
+    if b < a:
+        raise ValueError("need a <= b")
+
+
 def _gk15(f, a: float, b: float):
     """One Gauss-Kronrod 7/15 panel. Returns (kronrod, |kronrod - gauss|)."""
     c = 0.5 * (a + b)
@@ -94,10 +103,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = DEFAULT_TOL,
     The worst interval (largest local Kronrod-Gauss discrepancy) is bisected
     until the summed error estimate drops below tol or the budget runs out.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and 0 < tol < math.inf):
-        raise ValueError(f"a, b, tol must be finite and tol > 0: got {a!r}, {b!r}, {tol!r}")
-    if b < a:
-        raise ValueError("need a <= b")
+    _check_interval(a, b, tol)
     if b == a:
         val = f(a)
         if not math.isfinite(val):
@@ -171,10 +177,7 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_TOL,
     its slice of block (f on the first rules' nodes, joined in ladder order) where block
     covers it, else one call of f; evaluations counts block and f's nodes.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and 0 < tol < math.inf):
-        raise ValueError(f"a, b, tol must be finite and tol > 0: got {a!r}, {b!r}, {tol!r}")
-    if b < a:
-        raise ValueError("need a <= b")
+    _check_interval(a, b, tol)
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     evals, prev, end = len(block), math.nan, 0
     for rungs, n in enumerate(GAUSS_LADDER, 1):
@@ -193,6 +196,35 @@ def integrate_smooth(f, a: float, b: float, tol: float = DEFAULT_TOL,
                       evals + res.evaluations, rungs)
 
 
+def integrate_smooth_rows(f, a, b, tol: float = DEFAULT_TOL) -> list:
+    """integrate_smooth's QuadResult over [a[i], b[i]] for each row i, or None where no
+    rule settles (integrate_smooth on row i runs the adaptive fallback). f(rows, x) maps
+    row indices and their nodes x, of shape (len(rows), n), to values: each rule calls it
+    on the unsettled rows, in chunks of about _ROW_CHUNK nodes, and dots each row."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for ai, bi in zip(a.tolist(), b.tolist(), strict=True):
+        _check_interval(ai, bi, tol)
+    c, h, prev = 0.5 * (a + b), 0.5 * (b - a), np.full(len(a), math.nan)
+    results, rows, evals = [None] * len(a), np.arange(len(a)), 0
+    for rungs, n in enumerate(GAUSS_LADDER, 1):
+        if not len(rows):
+            break
+        x, w = gauss_legendre(n)
+        evals, step = evals + n, max(1, _ROW_CHUNK // n)
+        val = h * np.concatenate([np.vecdot(f(rows[k:k + step], c[k:k + step, None]
+                                              + h[k:k + step, None] * x), w)
+                                  for k in range(0, len(rows), step)])
+        err = np.abs(val - prev)
+        done = err <= tol
+        if done.any():
+            for i, v, e in zip(rows[done].tolist(), val[done].tolist(), err[done].tolist()):
+                results[i] = QuadResult(v, e, evals, rungs)
+            left = ~done
+            rows, val, c, h = rows[left], val[left], c[left], h[left]
+        prev = val
+    return results
+
+
 def integrate_endpoint_singular(f, a: float, b: float,
                                 tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate f over [a, b] where f may blow up like (s-a)^(-1/2) or (b-s)^(-1/2).
@@ -202,10 +234,7 @@ def integrate_endpoint_singular(f, a: float, b: float,
     endpoint into a smooth integrand; the endpoints themselves are never
     sampled because the underlying panel rule is open.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and 0 < tol < math.inf):
-        raise ValueError(f"a, b, tol must be finite and tol > 0: got {a!r}, {b!r}, {tol!r}")
-    if b < a:
-        raise ValueError("need a <= b")
+    _check_interval(a, b, tol)
     if b == a:
         return QuadResult(0.0, 0.0, 1)
     m = 0.5 * (a + b)

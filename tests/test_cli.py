@@ -140,17 +140,26 @@ class TestFrontScan:
         assert len(rows) == 3
         assert meta["deltas_used"] == "0.008;0.004;0.002"
 
+    @pytest.mark.parametrize("deltas", ["nan", "0.008,nan", "inf,0.004"])
+    def test_non_finite_offsets_refused(self, capsys, deltas):
+        # a NaN offset passed the sign check and met KernelPoint's message
+        code, out, err = run_cli(capsys, "front-scan", "--deltas", deltas,
+                                 "--reproducible")
+        assert code == EXIT_CHECK
+        assert out == ""
+        assert "delta_list must hold positive finite offsets" in err
+
     def test_ladder_is_cone_limits_on_each_prefix(self, capsys, monkeypatch):
         # one kernel pair per offset; every extrapolated entry is the fit
         # through the cone_sides differences at the offsets up to its row
         calls = []
-        evaluate = kernel.mode_kernel
+        evaluate = kernel.mode_kernel_rows
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return evaluate(*args, **kwargs)
+        def counted(m, points, *args, **kwargs):
+            calls.extend(points)
+            return evaluate(m, points, *args, **kwargs)
 
-        monkeypatch.setattr(kernel, "mode_kernel", counted)
+        monkeypatch.setattr(kernel, "mode_kernel_rows", counted)
         code, out, _ = run_cli(capsys, "front-scan", "--reproducible")
         assert code == EXIT_OK
         meta, header, rows = parse_csv(out)

@@ -598,6 +598,103 @@ class TestConeLimits:
         with pytest.raises(ValueError):
             cone_sides(m, 1.0, 2.0, [1e-3, 2e-3])
 
+    @pytest.mark.parametrize("deltas", [[math.nan], [1e-3, math.nan],
+                                        [math.inf, 1e-3]])
+    def test_non_finite_offsets_refused(self, deltas):
+        # NaN compares False with 0, so it met KernelPoint's own refusal
+        with pytest.raises(ValueError, match="delta_list must hold positive finite"):
+            cone_sides(mode_params(0, 0.25), 1.0, 2.0, deltas)
+
+
+# the adaptive-fallback point of TestGaussLadderKernel and its cone band
+FALLBACK_POINT, FALLBACK_EPS = KernelPoint(1 - 1e-7, 1.0, 2.0), 5e-8
+ROW_MODES = [(0, 0.25), (1, 0.3), (2, 3.29), (7, 0.84), (0, 0.0), (3, 0.05)]
+
+
+def loop_values(m, points, eps=None):
+    return [mode_kernel(m, p, eps).hex() for p in points]
+
+
+def row_values(m, points, eps=None):
+    return [v.hex() for v in kernel.mode_kernel_rows(m, points, eps)]
+
+
+@st.composite
+def mixed_points(draw):
+    """Points in regions I, II and III (t up to 2.5 (r1 + r2)), off the cone
+    bands at FALLBACK_EPS, with the fallback point at a drawn place."""
+    radii = st.floats(0.1, 3.0)
+    points = []
+    for _ in range(draw(st.integers(0, 14))):
+        r1, r2 = draw(radii), draw(radii)
+        p = KernelPoint(r1, r2, draw(st.floats(0.02, 2.5)) * (r1 + r2))
+        if classify_region(p, FALLBACK_EPS) in (Region.I, Region.II, Region.III):
+            points.append(p)
+    points.insert(draw(st.integers(0, len(points))), FALLBACK_POINT)
+    return points
+
+
+class TestModeKernelRows:
+    """mode_kernel_rows against a mode_kernel loop, hex for hex."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(points=mixed_points(), modes=st.lists(st.sampled_from(ROW_MODES),
+                                                 min_size=1, max_size=3))
+    def test_mixed_regions_equal_the_loop(self, points, modes):
+        for n, a in modes:
+            m = mode_params(n, a)
+            assert row_values(m, points, FALLBACK_EPS) == loop_values(m, points, FALLBACK_EPS)
+
+    def test_many_region_iii_points(self):
+        # 160 points behind the outer cone, at the default bands: each row's
+        # 2c and cosh(beta) must be the doubles mode_kernel forms
+        rng = random.Random(20)
+        points = []
+        for _ in range(160):
+            r1, r2 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
+            points.append(KernelPoint(r1, r2, (r1 + r2) * rng.uniform(1.01, 4.0)))
+        for n, a in ROW_MODES[:3]:
+            m = mode_params(n, a)
+            assert row_values(m, points) == loop_values(m, points)
+
+    def test_rescaled_diffractive_point(self):
+        # beta ~ 709.2, past asinh(DBL_MAX / 4), where 4 sinh(beta) overflows
+        points = [KernelPoint(1e-154, 1e-154, 1.0), KernelPoint(1.2, 0.9, 2.8)]
+        m = mode_params(1, 0.3)
+        assert row_values(m, points) == loop_values(m, points)
+
+    @settings(max_examples=15, deadline=None)
+    @given(points=mixed_points(), where=st.integers(0, 20),
+           cone=st.sampled_from(["inner", "outer"]))
+    def test_cone_band_point_is_refused_like_the_loop(self, points, where, cone):
+        r1, r2 = 0.8, 1.3
+        t = abs(r1 - r2) if cone == "inner" else r1 + r2
+        points.insert(min(where, len(points)), KernelPoint(r1, r2, t))
+        m = mode_params(1, 0.3)
+        with pytest.raises(ConeProximity) as loop_error:
+            loop_values(m, points, FALLBACK_EPS)
+        with pytest.raises(ConeProximity) as row_error:
+            row_values(m, points, FALLBACK_EPS)
+        assert str(row_error.value) == str(loop_error.value)
+
+    def test_empty_list(self):
+        assert kernel.mode_kernel_rows(mode_params(0, 0.25), []) == []
+
+    def test_held_node_terms_untouched(self):
+        p = KernelPoint(1.2, 0.9, 2.8)
+        mode_kernel(mode_params(2, 0.3), p)
+        mode_kernel(mode_params(2, 0.3), KernelPoint(1.2, 0.9, 1.5))
+
+        def held():
+            return {kind: (key, id(tables), sorted(map(str, tables)))
+                    for kind, (key, tables) in kernel._node_slots.items()}
+
+        before = held()
+        kernel.mode_kernel_rows(mode_params(3, 0.3),
+                                [p, KernelPoint(1.0, 0.7, 1.2), FALLBACK_POINT],
+                                FALLBACK_EPS)
+        assert held() == before
+
 
 class TestSynthesize:
     def test_zero_angle_sum_is_real(self):

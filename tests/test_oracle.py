@@ -239,3 +239,14 @@ class TestCompareKernel:
         p = KernelPoint(1.5, 1.0, 1.2)
         smoothed = mollified_kernel(m, p, 1.2e-2, 1e-3)
         assert smoothed == pytest.approx(mode_kernel(m, p), rel=1e-3)
+
+    @pytest.mark.parametrize("sigma, dr", [(0.0, 1e-3), (-1e-2, 1e-3), (1e-2, 0.0),
+                                           (1e-2, -1e-3), (math.nan, 1e-3),
+                                           (1e-2, math.nan), (math.inf, 1e-3),
+                                           (1e-2, math.inf)])
+    def test_mollified_kernel_refuses_bad_widths(self, sigma, dr):
+        # sigma = 0 or dr < 0 summed no source radius and gave 0.0 where the
+        # kernel is 0.381; a NaN met int() with its own message
+        m = mode_params(0, 0.3)
+        with pytest.raises(ValueError, match="sigma and dr must be finite and > 0"):
+            mollified_kernel(m, KernelPoint(1.6, 1.0, 1.9), sigma, dr)

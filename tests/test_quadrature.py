@@ -20,6 +20,7 @@ from isqwave.quadrature import (
     integrate_decaying,
     integrate_endpoint_singular,
     integrate_smooth,
+    integrate_smooth_rows,
 )
 
 TOL = 1e-10
@@ -238,6 +239,9 @@ ENTRY_CALLS = {
     "decaying-a": lambda f, x: integrate_decaying(f, x),
     "decaying-tol": lambda f, x: integrate_decaying(f, 0.0, x),
     "decaying-hint": lambda f, x: integrate_decaying(f, 0.0, decay_rate_hint=x),
+    "smooth-rows-tol": lambda f, x: integrate_smooth_rows(lambda _, s: f(s), [0.0], [9.0], x),
+    "smooth-rows-a": lambda f, x: integrate_smooth_rows(lambda _, s: f(s), [0.0, x], [9.0] * 2),
+    "smooth-rows-b": lambda f, x: integrate_smooth_rows(lambda _, s: f(s), [0.0], [x]),
 }
 
 
@@ -308,3 +312,74 @@ def test_smooth_block_serves_its_rungs():
     short = integrate_smooth(f, 0.0, 1.0, 1e-12, np.cos(nodes[:32]))
     assert (short.value.hex(), short.evaluations, short.rungs, calls) == \
         (cold.value.hex(), 96, 2, [64])
+
+
+def row_integrand(x, p, q, k):
+    """exp(p x) cos(q x), plus k |x - 0.3|: a kink no Gauss rule settles."""
+    return np.exp(p * x) * np.cos(q * x) + k * np.abs(x - 0.3)
+
+
+def rows_against_scalar(a, b, p, q, k, tol):
+    cols = [np.array(v)[:, None] for v in (p, q, k)]
+    shapes = []
+
+    def f(rows, x):
+        shapes.append(x.shape)
+        return row_integrand(x, *(col[rows] for col in cols))
+
+    got = integrate_smooth_rows(f, a, b, tol)
+    for i, res in enumerate(got):
+        want = integrate_smooth(lambda x: row_integrand(x, p[i], q[i], k[i]), a[i], b[i], tol)
+        if res is None:
+            # no rule settled: integrate_smooth's own value is adaptive's
+            assert want.rungs == len(GAUSS_LADDER)
+            assert want.evaluations > sum(GAUSS_LADDER)
+        else:
+            assert (res.value.hex(), res.error_estimate.hex(), res.evaluations,
+                    res.rungs) == (want.value.hex(), want.error_estimate.hex(),
+                                   want.evaluations, want.rungs)
+    return got, shapes
+
+
+row = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0), st.floats(-2.0, 2.0),
+                st.floats(0.0, 300.0), st.sampled_from([0.0, 0.0, 0.0, 1.0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(row, max_size=40), tol=st.sampled_from([1e-13, 1e-10, 1e-6]))
+def test_smooth_rows_equal_integrate_smooth(rows, tol):
+    # each row is integrate_smooth's QuadResult, field for field, or None
+    # exactly where integrate_smooth falls back to the adaptive rule
+    a = [lo for lo, width, *_ in rows]
+    b = [lo + width for lo, width, *_ in rows]
+    p, q, k = ([r[i] for r in rows] for i in (2, 3, 4))
+    rows_against_scalar(a, b, p, q, k, tol)
+
+
+def test_smooth_rows_chunks_and_shrinks():
+    # 70 rows, half of them kinked: each rule evaluates the rows not yet
+    # settled, in chunks of at most 2^15 nodes
+    n = 70
+    k = [float(i % 2) for i in range(n)]
+    got, shapes = rows_against_scalar([0.0] * n, [1.0] * n, [0.5] * n,
+                                      list(np.linspace(1.0, 200.0, n)), k, 1e-11)
+    assert all(r is None for r in got[1::2])
+    assert all(r is not None for r in got[0::2])
+    assert max(rows * nodes for rows, nodes in shapes) <= 2 ** 15
+    per_rule = {}
+    for rows, nodes in shapes:
+        per_rule[nodes] = per_rule.get(nodes, 0) + rows
+    assert list(per_rule) == list(GAUSS_LADDER)
+    assert per_rule[GAUSS_LADDER[0]] == n
+    assert per_rule[GAUSS_LADDER[-1]] == n // 2
+    assert list(per_rule.values()) == sorted(per_rule.values(), reverse=True)
+
+
+def test_smooth_rows_reject_bad_rows():
+    f = lambda r, s: np.cos(s)  # noqa: E731
+    with pytest.raises(ValueError, match="need a <= b"):
+        integrate_smooth_rows(f, [0.0, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        integrate_smooth_rows(f, [0.0, 0.0], [1.0])
+    # no rows: no rule is evaluated
+    assert integrate_smooth_rows(lambda r, s: 1 / 0, [], []) == []

@@ -25,8 +25,13 @@ directory. The JSON printed holds
                   cone), of a region-II and a region-III point visited with
                   n rising to 300 and then falling back to 0, of
                   cone_limits at seeded jump-range draws, of
-                  synthesize_kernel in both regions, and one
-                  oracle.mollified_kernel as hex
+                  synthesize_kernel in both regions, one
+                  oracle.mollified_kernel as hex, the cone_sides pairs of an
+                  offset ladder whose smallest offset leaves a region-III
+                  point to the adaptive fallback, and a digest of seeded
+                  points mixing regions I, II and III at four orders, through
+                  kernel.mode_kernel_rows (a mode_kernel loop on trees
+                  without it)
     hankel        digests of bessel_j_array on 1-D arrays mixing zero,
                   Miller and large-z arguments at orders 0, 0.5, 1.3, 2
                   and 12; of hankel_transform applied twice over the
@@ -39,7 +44,8 @@ directory. The JSON printed holds
                   at 2e-3 (the field the compare just solved) and 1e-3, as
                   hex; and whether a repeated solve returns the held field
     csv           sha256 of the --reproducible CSVs of `verify --quick`,
-                  `verify`, `symbol-audit` and `energy-audit`
+                  `verify`, `symbol-audit`, `energy-audit`, `kernel-grid`,
+                  and `front-scan` at its default offsets and at FRONT_DELTAS
 
 and nothing that names the tree, so comparing two trees is one `diff` of
 their captures.
@@ -61,11 +67,15 @@ import numpy as np
 AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
 STREAM = 4096               # AuditScan samples per alpha and chart
 WIDTH = 0.8                 # involution profile r^nu exp(-r^2 / (2 WIDTH^2))
+FRONT_DELTAS = "0.02,0.005,1e-3,2e-4,4e-5"
 CLI_RUNS = {
     "verify-quick": ["verify", "--quick"],
     "verify": ["verify"],
     "symbol-audit": ["symbol-audit"],
     "energy-audit": ["energy-audit"],
+    "kernel-grid": ["kernel-grid"],
+    "front-scan": ["front-scan"],
+    "front-scan-deltas": ["front-scan", "--deltas", FRONT_DELTAS],
 }
 
 
@@ -200,9 +210,30 @@ def kernel_values(ker, orc) -> dict:
              for region, t in (("II", 1.4), ("III", 2.6))}
     mollified = orc.mollified_kernel(ker.mode_params(0, 0.3),
                                      ker.KernelPoint(0.7, 1.0, 2.0), 0.02, 1e-3)
+    # 1e-7 inside the outer cone no Gauss rule settles the main integral
+    _, sides = ker.cone_sides(ker.mode_params(1, 0.3), 1.0, 2.0, [1e-3, 1e-5, 1e-7])
     return {"mode_sums": _digest(mode_sums), "mode_sum_ops": _digest(op_sums),
             "depth_sweeps": _digest(sweeps), "cone_limits": _digest(jumps),
-            "synthesize": synth, "mollified": float(mollified).hex()}
+            "synthesize": synth, "mollified": float(mollified).hex(),
+            "cone_sides_fallback": [_hex(pair) for pair in sides],
+            "rows_mixed": mixed_rows(ker, rng)}
+
+
+def mixed_rows(ker, rng) -> dict:
+    """Seeded points in regions I, II and III, off the cone bands, at four orders."""
+    points = []
+    while len(points) < 120:
+        r1, r2 = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+        p = ker.KernelPoint(r1, r2, rng.uniform(0.05, 2.5 * (r1 + r2)))
+        if ker.classify_region(p).value in ("I", "II", "III"):
+            points.append(p)
+    out = {}
+    for n, a in ((0, 0.25), (1, 0.69), (2, 3.29), (7, 0.84)):
+        m = ker.mode_params(n, a)
+        rows = getattr(ker, "mode_kernel_rows", None)
+        values = rows(m, points) if rows else [ker.mode_kernel(m, p) for p in points]
+        out[f"{m.nu!r}"] = _digest([_hex(values)])
+    return out
 
 
 def hankel_values(hk, sf) -> dict:
