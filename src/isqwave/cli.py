@@ -243,7 +243,8 @@ def cmd_kernel_grid(cfg: RunConfig, sink: CsvSink) -> int:
     p = cfg.params
     _require(p["r1_points"] >= 1 and p["t_points"] >= 1,
              "grid point counts must be >= 1")
-    _require(p["r1_min"] > 0 and p["t_min"] > 0, "grid must start above 0")
+    _require(all(0 < p[k] < math.inf for k in ("r1_min", "r1_max", "r2", "t_min", "t_max")),
+             "grid bounds and r2 must be finite and > 0")
     m = mode_params(p["n"], p["a"])
     r2 = p["r2"]
     r1s = np.linspace(p["r1_min"], p["r1_max"], p["r1_points"])

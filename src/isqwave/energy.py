@@ -24,6 +24,7 @@ import numpy as np
 
 from .geodesic import (FlowState, SphereMetric, circle, integrate_flow,
                        zeta_norm_sq)
+from .quadrature import gauss_legendre
 
 class EnergyError(Exception):
     """Failure in the inequality or symbol machinery."""
@@ -122,14 +123,10 @@ def constant_potential(c: float) -> PotentialProfile:
         sup_bound=abs(c), lower_bound=c)
 
 
-@functools.cache
 def polar_quadrature(count: int = 32):
-    """Gauss-Legendre nodes and weights mapped to the polar interval (0, pi),
-    built once per count and shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(count)
-    nodes, weights = (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    """quadrature.gauss_legendre(count) mapped to the polar interval (0, pi)."""
+    x, w = gauss_legendre(count)
+    return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
 
 
 def _area_coeff(n: int) -> float:
@@ -337,7 +334,6 @@ def norm_equivalence(suite, n: int, f0: float):
 # ---------------------------------------------------------------------------
 # cutoff calculus
 
-_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
 _EDGE_ROWS = 512            # edges per np.exp block: 512 x 64 doubles
 # integral of exp(-2/(1-u^2)) over (-1, 1); the edge normalizer
 BUMP_MASS = 0.13308612084499427
@@ -352,19 +348,20 @@ def bump(x: float) -> float:
 
 
 def _cutoffs(cuts: list) -> list:
-    """Cutoff factors given as (v, falling): the share of BUMP_MASS on
-    (-1, v), or 1 minus it where falling.  The nodes of all v go through
-    np.exp together; np.vecdot takes each row's own BLAS dot with the
-    weights, as _GL64_W @ row does, where a gemv would round otherwise."""
+    """Cutoff factors given as (v, falling): the share of BUMP_MASS on (-1, v),
+    on gauss_legendre(64), or 1 minus it where falling.  The nodes of all v go
+    through np.exp together; np.vecdot takes each row's own BLAS dot with the
+    weights, as w @ row does, where a gemv would round otherwise."""
     inner = [0.5 * (v + 1.0) for v, _ in cuts if not (v <= -1.0 or v >= 1.0)]
+    gl_x, gl_w = gauss_legendre(64)
     shares = []
     for k in range(0, len(inner), _EDGE_ROWS):
         half = np.array(inner[k:k + _EDGE_ROWS])
-        x = -1.0 + half[:, None] * (_GL64_X + 1.0)
+        x = -1.0 + half[:, None] * (gl_x + 1.0)
         with np.errstate(divide="ignore"):
             # a node rounding onto the support edge gives exp(-inf) = 0, the limit
             y = np.exp(-2.0 / (1.0 - x * x))
-        shares += (half * np.vecdot(y, _GL64_W) / BUMP_MASS).tolist()
+        shares += (half * np.vecdot(y, gl_w) / BUMP_MASS).tolist()
     shares = iter(shares)
     edges = (0.0 if v <= -1.0 else 1.0 if v >= 1.0
              else min(1.0, max(0.0, next(shares))) for v, _ in cuts)

@@ -3,12 +3,12 @@ diagonalizes.
 
 The transform H_nu(g)(lam) = int_0^rmax g(r) J_nu(lam r) r dr is computed by
 direct quadrature: samples are joined by a local cubic interpolant, the
-integrand is evaluated on composite Gauss-Legendre panels short enough to
-resolve the fastest Bessel oscillation requested, and the order-nu Bessel
-factor is a table J_nu(lam_i node_j) built by bessel_j_array in row blocks
-of about 2^15 elements. One slot, keyed on the order, the wavenumbers'
-bytes and r_max (which fix the nodes), keeps the newest table for the next
-transform alone; at 320 points on r_max = 12 it is 320 x 1152 doubles.
+integrand is evaluated on composite panels of quadrature.gauss_legendre(8),
+short enough to resolve the fastest Bessel oscillation requested, and the
+order-nu Bessel factor is a table J_nu(lam_i node_j) built by bessel_j_array in
+row blocks of about 2^15 elements. One slot, keyed on the order, the
+wavenumbers' bytes and r_max (which fix the nodes), keeps the newest table for
+the next transform alone; at 320 points on r_max = 12 it is 320 x 1152 doubles.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import gauss_legendre
 from .specfun import bessel_j_array
 
 TAIL_FRACTION = 0.1        # trailing share of the radial span checked for mass
@@ -107,19 +108,6 @@ def _local_cubic(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-# 8-point Gauss-Legendre rule on [-1, 1]
-_GL_X = np.array([
-    -0.9602898564975363, -0.7966664774136267, -0.5255324099163290,
-    -0.1834346424956498, 0.1834346424956498, 0.5255324099163290,
-    0.7966664774136267, 0.9602898564975363,
-])
-_GL_W = np.array([
-    0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
-    0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
-    0.2223810344533745, 0.1012285362903763,
-])
-
-
 def _panel_nodes(a: float, b: float, lam_max: float):
     """Composite GL nodes over [a, b] with panels short enough that the
     fastest requested oscillation advances about one radian per panel."""
@@ -128,9 +116,8 @@ def _panel_nodes(a: float, b: float, lam_max: float):
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * _GL_X[None, :]).ravel()
-    weights = (half * _GL_W[None, :]).ravel()
-    return nodes, weights
+    x, w = gauss_legendre(8)
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _check_tail(field: RadialField):

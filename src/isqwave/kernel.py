@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (GAUSS_LADDER, integrate_decaying, integrate_smooth,
-                         integrate_smooth_rows)
+from .quadrature import (GAUSS_LADDER, integrate_adaptive, integrate_decaying,
+                         integrate_smooth, integrate_smooth_rows)
 from .specfun import bessel_j, legendre_q_shifted
 
 _INNER_TOL = 1e-11          # quadrature tolerance inside kernel integrals
 EPS_CONE_FACTOR = 1e-6      # default cone band is this times (r1 + r2 + t)
 _BETA_SCALED = math.asinh(sys.float_info.max / 4.0)  # diffractive_integral rescales here
+_COORD_MIN = 2.0 ** -512    # least r1, r2, t of the envelope: squares keep 50 of 53 bits
 _node_slots: dict = {}      # integrand kind -> (last key, {rule size, "block": terms})
 
 
@@ -147,6 +148,12 @@ def _wave_values(terms, wave, rate: float):
     return weight * wave(rate * phase) / root
 
 
+def _envelope(p: KernelPoint, *formed: float) -> None:
+    """KernelError unless r1, r2, t >= _COORD_MIN and the geometry formed from them is finite."""
+    if not (min(p.r1, p.r2, p.t) >= _COORD_MIN and all(map(math.isfinite, formed))):
+        raise KernelError(f"{p} is outside the kernel envelope (see mode_kernel)")
+
+
 # (1/pi) int_0^{s*} cos(nu s) D(s)^{-1/2} ds with
 # D(s) = t^2 - r1^2 - r2^2 + 2 r1 r2 cos s = 4 r1 r2 sin((s*+s)/2) sin((s*-s)/2),
 # s* = arccos((r1^2 + r2^2 - t^2)/(2 r1 r2)). Integrable singularity at s*.
@@ -155,8 +162,9 @@ def _wave_values(terms, wave, rate: float):
 # with no cancellation against s*.
 def _region_ii_geometry(p: KernelPoint) -> tuple:
     r1, r2, t = p.r1, p.r2, p.t
-    arg = (r1 * r1 + r2 * r2 - t * t) / (2.0 * r1 * r2)
-    return math.acos(min(1.0, max(-1.0, arg))), 4.0 * r1 * r2
+    num, c = r1 * r1 + r2 * r2 - t * t, 4.0 * r1 * r2
+    _envelope(p, num, c)
+    return math.acos(min(1.0, max(-1.0, num / (2.0 * r1 * r2)))), c
 
 
 def _region_ii_terms(w, s_star, c):
@@ -206,9 +214,10 @@ def diffractive_integral(nu: float, beta: float) -> float:
 # same double short of overflow, as the factors of 2 are exact.
 def _region_iii_geometry(p: KernelPoint) -> tuple:
     r1, r2, t = p.r1, p.r2, p.t
+    _envelope(p)
     z = (t * t - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)
-    beta = math.acosh(z)
-    c = r1 * r2
+    _envelope(p, z)
+    beta, c = math.acosh(z), r1 * r2
     return beta, c, 2.0 * c, math.cosh(beta)
 
 
@@ -225,7 +234,10 @@ def mode_kernel(m: ModeParams, p: KernelPoint, eps_cone: float | None = None) ->
 
     Region I returns 0.0 without quadrature. Points inside the cone
     tolerance band raise ConeProximity; take one-sided limits through
-    cone_limits instead.
+    cone_limits instead. Envelope in regions II and III, else KernelError:
+    r1, r2, t >= 2^-512 (about 7.5e-155), and r1^2 + r2^2 - t^2 and 4 r1 r2
+    (II) or z = (t^2 - r1^2 - r2^2) / (2 r1 r2) (III) finite. The integrals'
+    tolerance is absolute, so accuracy near a cone holds only at about unit scale.
     """
     region = classify_region(p, eps_cone)
     if region is Region.I:
@@ -246,14 +258,15 @@ def mode_kernel(m: ModeParams, p: KernelPoint, eps_cone: float | None = None) ->
 
 def _integrate_rows(terms, params: list, wave, rate: float, b: list) -> list:
     """_integrate_modes' integral over [0, b[i]] of terms(x, *params[i]) for each row i,
-    on one integrate_smooth_rows ladder (integrate_smooth where none settles)."""
+    on one integrate_smooth_rows ladder (integrate_smooth's fallback, integrate_adaptive,
+    where no rule settles)."""
     cols = [np.array(col)[:, None] for col in zip(*params)]
 
     def f(rows, x):
         return _wave_values(terms(x, *(col[rows] for col in cols)), wave, rate)
 
-    return [res.value if res is not None else integrate_smooth(
-        lambda x: _wave_values(terms(x, *prm), wave, rate), 0.0, bi, _INNER_TOL).value
+    return [res.value if res is not None else float(integrate_adaptive(
+        lambda x: _wave_values(terms(x, *prm), wave, rate), 0.0, bi, _INNER_TOL).value)
         for res, prm, bi in zip(integrate_smooth_rows(f, np.zeros(len(b)), b, _INNER_TOL),
                                 params, b)]
 

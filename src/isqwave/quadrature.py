@@ -1,4 +1,5 @@
-"""Numerical integration used by every closed-form evaluation in the package.
+"""Numerical integration used by every closed-form evaluation in the package, and
+gauss_legendre, the builder of every Gauss-Legendre rule it uses (on first use).
 
 Four entry points, and a row-batched twin of the first:
 

@@ -214,6 +214,12 @@ class TestKernelGrid:
         assert rows == []
         assert meta["cone_rows_skipped"] == "1"
 
+    @pytest.mark.parametrize("option", ["--r1-max", "--r2", "--t-max"])
+    def test_bound_below_zero_is_a_usage_error(self, capsys, option):
+        code, out, err = run_cli(capsys, "kernel-grid", option, "-1")
+        assert code == EXIT_USAGE
+        assert "usage" in err and out == ""
+
 
 class TestTrace:
     def test_inward_strike(self, capsys):

@@ -680,6 +680,24 @@ class TestModeKernelRows:
     def test_empty_list(self):
         assert kernel.mode_kernel_rows(mode_params(0, 0.25), []) == []
 
+    def test_unsettled_row_goes_straight_to_the_adaptive_rule(self, monkeypatch):
+        # 1e-7 inside the outer cone no Gauss rule settles the main integral;
+        # the row ladder has formed its nodes, so integrate_smooth would only
+        # evaluate them again before reaching the same adaptive value
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(f, a, b, *args):
+                calls.append((name, a, b))
+                return fn(f, a, b, *args)
+            return wrapped
+
+        monkeypatch.setattr(kernel, "integrate_smooth", spy("smooth", integrate_smooth))
+        monkeypatch.setattr(kernel, "integrate_adaptive",
+                            spy("adaptive", integrate_adaptive), raising=False)
+        cone_sides(mode_params(1, 0.3), 1.0, 2.0, [1e-3, 1e-5, 1e-7])
+        assert calls == [("adaptive", 0.0, math.pi)]
+
     def test_held_node_terms_untouched(self):
         p = KernelPoint(1.2, 0.9, 2.8)
         mode_kernel(mode_params(2, 0.3), p)
@@ -694,6 +712,25 @@ class TestModeKernelRows:
                                 [p, KernelPoint(1.0, 0.7, 1.2), FALLBACK_POINT],
                                 FALLBACK_EPS)
         assert held() == before
+
+
+class TestEnvelope:
+    """Points below 2^-512 or whose geometry leaves the doubles raise KernelError."""
+
+    @pytest.mark.parametrize("p", [KernelPoint(1e200, 1e200, 1e200),   # II: 0.0 before
+                                   KernelPoint(1.0, 1.0, 1e160),        # III: t^2 = inf
+                                   KernelPoint(1e-200, 1e-200, 1e-200)])  # II: 0 / 0
+    def test_outside_the_doubles_is_refused(self, p, monkeypatch):
+        m = mode_params(1, 0.3)
+        with pytest.raises(kernel.KernelError, match="envelope"):
+            mode_kernel(m, p)
+
+        def no_ladder(*args):
+            raise AssertionError("a ladder ran")
+
+        monkeypatch.setattr(kernel, "integrate_smooth_rows", no_ladder)
+        with pytest.raises(kernel.KernelError, match="envelope"):
+            kernel.mode_kernel_rows(m, [KernelPoint(1.2, 0.9, 2.8), p])
 
 
 class TestSynthesize:

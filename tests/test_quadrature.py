@@ -152,8 +152,9 @@ def test_interval_additivity():
 
 
 def test_ladder_rules_exact_on_even_monomials():
-    # the n-point rule integrates every polynomial of degree <= 2n - 1
-    for n in GAUSS_LADDER:
+    # the n-point rule integrates every polynomial of degree <= 2n - 1;
+    # 8 is hankel's panel rule, 64 (energy's edge rule) a ladder rung
+    for n in (8, *GAUSS_LADDER):
         x, w = gauss_legendre(n)
         assert x.shape == w.shape == (n,)
         assert np.all(np.diff(x) > 0.0)
@@ -162,17 +163,18 @@ def test_ladder_rules_exact_on_even_monomials():
 
 
 def test_largest_rule_weights_against_mpmath():
-    n = 1024
-    x, w = gauss_legendre(n)
-    with mp.workdps(30):
-        for i in (0, 1, 300, n // 2):
-            # one Newton step from the double node is accurate far beyond
-            # double precision; the weight is 2 (1 - x^2) / (n P_{n-1})^2
-            r = mp.mpf(float(x[i]))
-            p, q = mp.legendre(n, r), mp.legendre(n - 1, r)
-            r -= p * (1 - r * r) / (n * (q - r * p))
-            want = 2 * (1 - r * r) / (n * mp.legendre(n - 1, r)) ** 2
-            assert abs(float((w[i] - want) / want)) < 1e-12, i
+    # the largest ladder rule, and hankel's 8 and energy's 64 points
+    for n in (8, 64, 1024):
+        x, w = gauss_legendre(n)
+        with mp.workdps(30):
+            for i in (0, 1, min(300, n - 1), n // 2):
+                # one Newton step from the double node is accurate far beyond
+                # double precision; the weight is 2 (1 - x^2) / (n P_{n-1})^2
+                r = mp.mpf(float(x[i]))
+                p, q = mp.legendre(n, r), mp.legendre(n - 1, r)
+                r -= p * (1 - r * r) / (n * (q - r * p))
+                want = 2 * (1 - r * r) / (n * mp.legendre(n - 1, r)) ** 2
+                assert abs(float((w[i] - want) / want)) < 1e-12, (n, i)
 
 
 def test_smooth_settles_on_the_ladder():
@@ -203,9 +205,11 @@ def test_smooth_fallback_errors_propagate():
 
 
 def test_no_rule_built_at_import():
-    # the kernel stack; energy still takes its angular rules from numpy's leggauss
+    # every module: rules are built on first use, and none comes from numpy.polynomial
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = ("import sys, isqwave, isqwave.kernel\n"
+    code = ("import importlib, pkgutil, sys, isqwave\n"
+            "for mod in pkgutil.iter_modules(isqwave.__path__):\n"
+            "    importlib.import_module('isqwave.' + mod.name)\n"
             "from isqwave.quadrature import gauss_legendre\n"
             "print(gauss_legendre.cache_info().currsize,"
             " 'numpy.polynomial' in sys.modules)")

@@ -30,8 +30,7 @@ directory. The JSON printed holds
                   offset ladder whose smallest offset leaves a region-III
                   point to the adaptive fallback, and a digest of seeded
                   points mixing regions I, II and III at four orders, through
-                  kernel.mode_kernel_rows (a mode_kernel loop on trees
-                  without it)
+                  kernel.mode_kernel_rows
     hankel        digests of bessel_j_array on 1-D arrays mixing zero,
                   Miller and large-z arguments at orders 0, 0.5, 1.3, 2
                   and 12; of hankel_transform applied twice over the
@@ -230,9 +229,7 @@ def mixed_rows(ker, rng) -> dict:
     out = {}
     for n, a in ((0, 0.25), (1, 0.69), (2, 3.29), (7, 0.84)):
         m = ker.mode_params(n, a)
-        rows = getattr(ker, "mode_kernel_rows", None)
-        values = rows(m, points) if rows else [ker.mode_kernel(m, p) for p in points]
-        out[f"{m.nu!r}"] = _digest([_hex(values)])
+        out[f"{m.nu!r}"] = _digest([_hex(ker.mode_kernel_rows(m, points))])
     return out
 
 
