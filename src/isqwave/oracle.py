@@ -3,12 +3,13 @@
 Solves u_tt = u_rr + u_r/r - nu^2 u/r^2 with zero initial displacement and a
 mollified delta initial velocity, on a staggered grid that never touches
 r = 0. The solver, `solve_mode`, uses nothing from the kernel module; it
-steps on buffers made once per solve and holds its last (config, source)
-field, read-only, so a compare and a leakage check on one problem solve it
-once; a new problem empties that slot before its own solve starts. The
-comparison harness does: `mollified_kernel` and `compare_kernel` evaluate
-the analytic mode kernel, and `leakage_ratio` uses its region
-classification. The harness is the only meeting point of the two code paths.
+steps on buffers made once per solve, only on cells its wave can have reached
+(the stencil's domain of dependence; u is +0.0 beyond, as on a full grid),
+and holds its last (config, source) field, read-only, so a compare and a
+leakage check on one problem solve it once; a new problem empties that slot
+before its own solve starts. The comparison harness, the only meeting point
+of the two code paths, does: `mollified_kernel` and `compare_kernel` evaluate
+the analytic mode kernel, and `leakage_ratio` uses its region classification.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class ModeField:
     r: np.ndarray
     times: np.ndarray
     slices: np.ndarray          # shape (len(times), len(r))
-    energies: np.ndarray        # aligned with times[1:-1] stored instants
+    energies: np.ndarray        # aligned with times[1:] stored instants
     config: FDConfig
     r0: float
 
@@ -100,24 +101,31 @@ def _stencil(r: np.ndarray, dr: float, nu: float):
     # grid r_j = (j + 1/2) dr; the face radius at j - 1/2 is j dr, so the
     # innermost face sits exactly at r = 0 where the flux r u' of any
     # regular mode solution (u ~ r^nu) vanishes: that is the origin closure.
-    # laplacian(u, out) rounds in the written order, on buffers made once.
+    # window(rows, lo, hi, out)(k) writes the laplacian of rows[k] on cells
+    # [lo, hi) to out[lo:hi]; each row's ghost cell n, held at 0, is the wall.
     faces = np.arange(len(r) + 1) * dr     # r at cell faces
-    inner, wall = faces[1:-1], faces[-1]
     flux = np.zeros(len(r) + 1)            # flux[0] stays 0: the face at r = 0
-    f, tmp = flux[1:-1], np.empty_like(r)
-    r_dr, r_sq, nu_sq = r * dr, r * r, nu * nu
+    tmp, r_dr, r_sq = np.empty_like(r), r * dr, r * r
+    dr, nu_sq = np.array(dr), np.array(nu * nu)   # 0-d: no float cast per call
 
-    def laplacian(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.subtract(u[1:], u[:-1], out=f)
-        np.multiply(inner, f, out=f)
-        np.divide(f, dr, out=f)
-        flux[-1] = wall * (0.0 - u[-1]) / dr   # hard wall at r_max
-        np.subtract(flux[1:], flux[:-1], out=out)
-        np.divide(out, r_dr, out=out)
-        np.multiply(nu_sq, u, out=tmp)
-        np.divide(tmp, r_sq, out=tmp)
-        return np.subtract(out, tmp, out=out)
-    return laplacian
+    def window(rows, lo: int, hi: int, out: np.ndarray):
+        a, e = max(lo, 1), hi + 1              # the faces a..hi move
+        f, inner, right, left = flux[a:e], faces[a:e], flux[lo + 1:e], flux[lo:hi]
+        lap, t, rdr, rsq = out[lo:hi], tmp[lo:hi], r_dr[lo:hi], r_sq[lo:hi]
+        views = [(u[a:e], u[a - 1:hi], u[lo:hi]) for u in rows]
+
+        def laplacian(k: int) -> np.ndarray:
+            above, below, u = views[k]
+            np.subtract(above, below, f)
+            np.multiply(inner, f, f)
+            np.divide(f, dr, f)
+            np.subtract(right, left, lap)
+            np.divide(lap, rdr, lap)
+            np.multiply(nu_sq, u, t)
+            np.divide(t, rsq, t)
+            return np.subtract(lap, t, lap)
+        return laplacian
+    return window
 
 
 def _mollifier(r: np.ndarray, r0: float, sigma: float, dr: float) -> np.ndarray:
@@ -146,6 +154,8 @@ def solve_mode(cfg: FDConfig, r0: float) -> ModeField:
     if cfg.dt > mode_bound:
         raise CFLViolation(
             f"dt={cfg.dt} exceeds mode stability bound {mode_bound:.3e}")
+    if not math.isfinite(r0):
+        raise ValueError(f"source radius r0 must be finite: got {r0!r}")
     sigma = cfg.mollifier_width
     reach = r0 + cfg.T + MOLLIFIER_SUPPORT * sigma
     if reach >= cfg.r_max:
@@ -163,31 +173,32 @@ def solve_mode(cfg: FDConfig, r0: float) -> ModeField:
 def _leapfrog(cfg: FDConfig, r0: float) -> ModeField:
     n = int(round(cfg.r_max / cfg.dr))
     r = (np.arange(n) + 0.5) * cfg.dr
-    phi = _mollifier(r, r0, cfg.mollifier_width, cfg.dr)
-    laplacian = _stencil(r, cfg.dr, cfg.nu)
+    phi = np.append(_mollifier(r, r0, cfg.mollifier_width, cfg.dr), 0.0)
+    window = _stencil(r, cfg.dr, cfg.nu)
 
-    dt, dt_sq = cfg.dt, cfg.dt * cfg.dt
+    dt, dt_sq = cfg.dt, np.array(cfg.dt * cfg.dt)     # 0-d, as in _stencil
     nt = int(math.ceil(cfg.T / dt))
     slices = np.zeros((math.ceil(nt / STORE_EVERY) + 1, n))   # row 0: u = 0
-    u_prev, u_cur, u_next, lap = np.zeros((4, n))
-    np.add(dt * phi, (dt ** 3 / 6.0) * laplacian(phi, lap), out=u_cur)
+    u, lap = np.zeros((3, n + 1)), np.zeros(n)       # u[:, n]: the wall's ghost
+    np.add(dt * phi[:n], (dt ** 3 / 6.0) * window([phi], 0, n, lap)(0), out=u[1, :n])
     times, energies = [0.0], []
 
-    # u_cur is the solution at step 1; march to step nt inclusive, as
-    # u_next = 2 u_cur - u_prev + dt^2 laplacian(u_cur)
-    for step in range(1, nt + 1):
-        np.multiply(2.0, u_cur, out=u_next)
-        np.subtract(u_next, u_prev, out=u_next)
-        np.multiply(dt_sq, laplacian(u_cur, lap), out=lap)
-        np.add(u_next, lap, out=u_next)
-        if step % STORE_EVERY == 0 or step == nt:
-            slices[len(times)] = u_cur
-            times.append(step * dt)
-            u_t = (u_next - u_prev) / (2.0 * dt)
-            dens = (u_t ** 2 + np.gradient(u_cur, cfg.dr) ** 2
-                    + (cfg.nu * u_cur / r) ** 2)
-            energies.append(0.5 * float(np.sum(dens * r) * cfg.dr))
-        u_prev, u_cur, u_next = u_cur, u_next, u_prev
+    # u[s % 3] holds step s, and u[s + 1] = 2 u[s] - u[s - 1] + dt^2 lap(u[s])
+    # to s = nt, each block on its last step's reach: ops on +0.0 give +0.0.
+    lo, hi = (np.flatnonzero(u[1])[[0, -1]] + (0, 1)).tolist()
+    for start in range(1, nt + 1, STORE_EVERY):
+        end = min(start + STORE_EVERY - 1, nt)
+        a, b = max(lo - end, 0), min(hi + end, n)
+        laplacian, w, lap_w = window(u, a, b, lap), list(u[:, a:b]), lap[a:b]
+        for s in range(start, end + 1):
+            p, c, x = (s - 1) % 3, s % 3, (s + 1) % 3
+            np.subtract(np.add(w[c], w[c], w[x]), w[p], w[x])   # 2 u: exact
+            np.add(w[x], np.multiply(dt_sq, laplacian(c), lap_w), w[x])
+        slices[len(times)] = now = u[c, :n]
+        times.append(end * dt)
+        dens = (((u[x, :n] - u[p, :n]) / (2.0 * dt)) ** 2
+                + np.gradient(now, cfg.dr) ** 2 + (cfg.nu * now / r) ** 2)
+        energies.append(0.5 * float(np.sum(dens * r) * cfg.dr))
 
     return ModeField(r=r, times=np.array(times), slices=slices,
                      energies=np.array(energies), config=cfg, r0=r0)
@@ -243,6 +254,8 @@ def compare_kernel(m: ModeParams, cfg: FDConfig,
     """
     if cfg.nu != m.nu:
         raise ValueError("config nu must match the mode")
+    if not sample_points:
+        raise ValueError("compare_kernel needs at least one sample point")
     sigma = cfg.mollifier_width
     for p in sample_points:
         if _cone_distance(p) < MIN_CONE_DISTANCE * sigma:
@@ -260,7 +273,7 @@ def compare_kernel(m: ModeParams, cfg: FDConfig,
                          for p in sample_points])
     numeric = np.array([fields[round(p.r2, 12)].sample(p.r1, p.t)
                         for p in sample_points])
-    floor = 0.01 * float(np.max(np.abs(analytic))) if len(analytic) else 1.0
+    floor = 0.01 * float(np.max(np.abs(analytic)))
     entries = []
     for p, an, num in zip(sample_points, analytic, numeric):
         denom = max(abs(an), floor)

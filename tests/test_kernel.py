@@ -37,7 +37,7 @@ from isqwave.kernel import (
     synthesize_kernel,
     verify_lipschitz_hankel,
 )
-from isqwave.quadrature import GAUSS_LADDER, integrate_adaptive, integrate_smooth
+from isqwave.quadrature import GAUSS_LADDER, BadHint, integrate_adaptive, integrate_smooth
 
 mp.mp.dps = 30
 
@@ -797,3 +797,10 @@ class TestLipschitzHankel:
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_lipschitz_hankel(0.5, -1.0, 1.0, 1.0)
+
+    def test_order_above_the_envelope_is_a_typed_refusal(self):
+        # the docstring's envelope: on r1 in {0.5, 1, 1.5, 2} x t in {0.8, 1.5,
+        # 2.2, 3}, r2 = 1, the LHS tail check first refuses a point at nu = 2.3
+        with pytest.raises(BadHint, match="decay slower than hinted"):
+            verify_lipschitz_hankel(2.3, 0.5, 1.0, 3.0)
+        assert verify_lipschitz_hankel(2.2, 0.5, 1.0, 3.0) < 1e-6

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from isqwave import oracle
+from isqwave.checks import oracle_config
 from isqwave.kernel import KernelPoint, mode_params
 from isqwave.oracle import (
     BoundaryContamination,
@@ -86,6 +87,12 @@ class TestSolveGuards:
         with pytest.raises(ValueError):
             solve_mode(cfg, 0.05)
 
+    @pytest.mark.parametrize("r0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_source_radius(self, r0):
+        # inf used to meet the contamination guard ("front reaches inf")
+        with pytest.raises(ValueError, match="r0 must be finite"):
+            solve_mode(FDConfig(**QUICK, nu=0.5), r0)
+
 
 @pytest.fixture(scope="module")
 def field():
@@ -138,6 +145,54 @@ class TestSolveProperties:
             tracemalloc.stop()
         assert top < field.slices.nbytes / 10
         assert value == float(np.max(np.abs(field.slices)))
+
+
+def full_grid_leapfrog(cfg, r0):
+    """Every cell at every step, in the solver's operation order."""
+    n, dr, dt = int(round(cfg.r_max / cfg.dr)), cfg.dr, cfg.dt
+    r, faces = (np.arange(n) + 0.5) * dr, np.arange(n + 1) * dr
+
+    def lap(u):
+        flux = np.zeros(n + 1)
+        flux[1:-1] = faces[1:-1] * (u[1:] - u[:-1]) / dr
+        flux[-1] = faces[-1] * (0.0 - u[-1]) / dr
+        return (flux[1:] - flux[:-1]) / (r * dr) - cfg.nu * cfg.nu * u / (r * r)
+
+    phi = oracle._mollifier(r, r0, cfg.mollifier_width, dr)
+    prev, cur = np.zeros(n), dt * phi + (dt ** 3 / 6.0) * lap(phi)
+    nt = math.ceil(cfg.T / dt)
+    slices, times, energies = [np.zeros(n)], [0.0], []
+    for step in range(1, nt + 1):
+        nxt = 2.0 * cur - prev + dt * dt * lap(cur)
+        if step % oracle.STORE_EVERY == 0 or step == nt:
+            slices.append(cur)
+            times.append(step * dt)
+            dens = (((nxt - prev) / (2.0 * dt)) ** 2 + np.gradient(cur, dr) ** 2
+                    + (cfg.nu * cur / r) ** 2)
+            energies.append(0.5 * float(np.sum(dens * r) * dr))
+        prev, cur = cur, nxt
+    return np.array(slices), np.array(times), np.array(energies)
+
+
+class TestDependenceWindow:
+    # the solver steps only the cells its wave can have reached; each case is
+    # compared bit for bit with a march over the whole grid
+    @pytest.mark.parametrize("cfg, r0, reaches_ends", [
+        (oracle_config(1e-3), 1.0, True),
+        (FDConfig(r_max=4.0, dr=1e-3, dt=8e-4, T=0.3, mollifier_width=1.2e-2,
+                  nu=0.5), 1.0, False),
+        (FDConfig(**QUICK, nu=0.0), 1.0, True),
+        (FDConfig(**QUICK, nu=0.5), 1.0, True),
+    ], ids=["origin-and-wall", "short-T", "nu-0", "quick"])
+    def test_matches_the_full_grid_march(self, cfg, r0, reaches_ends):
+        slices, times, energies = full_grid_leapfrog(cfg, r0)
+        field = solve_mode(cfg, r0)
+        assert field.slices.tobytes() == slices.tobytes()
+        assert field.times.tobytes() == times.tobytes()
+        assert field.energies.tobytes() == energies.tobytes()
+        # the band of non-zero cells touches the origin and the wall, or neither
+        ends = slices[-1][[0, -1]] != 0.0
+        assert ends.all() if reaches_ends else not ends.any()
 
 
 class TestSolveMemo:
@@ -224,6 +279,12 @@ class TestCompareKernel:
         cfg = FDConfig(**QUICK, nu=0.5)
         with pytest.raises(ValueError):
             compare_kernel(mode_params(1, 0.0), cfg, points(SAMPLES_II))
+
+    def test_empty_sample_list_rejected(self):
+        # numpy's max over no analytic values raised its own message
+        cfg = FDConfig(**QUICK, nu=0.5)
+        with pytest.raises(ValueError, match="at least one sample point"):
+            compare_kernel(mode_params(0, 0.25), cfg, [])
 
     def test_near_cone_sample_rejected(self):
         m = mode_params(0, 0.25)

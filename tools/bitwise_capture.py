@@ -37,11 +37,13 @@ directory. The JSON printed holds
                   benchmark's 80/160/320 involution chain at orders 0,
                   0.5, 1.3 and 2; verify_involution on that chain as hex;
                   and the eigen pair H(L g), H(g) at 4 and 120 wavenumbers
-    oracle        digests of one dr = 1e-3 solve_mode field (its slices
-                  and energies); compare_kernel's relative errors at
+    oracle        digests of one dr = 1e-3 solve_mode field (its slices,
+                  energies and times); compare_kernel's relative errors at
                   DEFAULT_SAMPLES for dr = 4e-3 and 2e-3, and checks.leakage
                   at 2e-3 (the field the compare just solved) and 1e-3, as
-                  hex; and whether a repeated solve returns the held field
+                  hex; whether a repeated solve returns the held field; and
+                  digests of a T = 0.3 field, whose stepped band reaches
+                  neither the origin nor the wall, and of a nu = 0 field
     csv           sha256 of the --reproducible CSVs of `verify --quick`,
                   `verify`, `symbol-audit`, `energy-audit`, `kernel-grid`,
                   and `front-scan` at its default offsets and at FRONT_DELTAS
@@ -264,18 +266,29 @@ def hankel_values(hk, sf) -> dict:
             "verify_involution": involution, "eigen": eigen}
 
 
+def _field(field) -> dict:
+    return {"slices": _digest(_hex(row) for row in field.slices),
+            "energies": _digest([_hex(field.energies)]),
+            "times": _digest([_hex(field.times)])}
+
+
 def oracle_values(chk, orc) -> dict:
     cfg = chk.oracle_config(1e-3)
     field = orc.solve_mode(cfg, 1.0)
-    out = {"field": {"slices": _digest(_hex(row) for row in field.slices),
-                     "energies": _digest([_hex(field.energies)]),
-                     "times": _digest([_hex(field.times)])},
+    out = {"field": _field(field),
            "repeat_is_held": orc.solve_mode(cfg, 1.0) is field}
     pts = [chk.KernelPoint(r1, 1.0, t) for r1, t in chk.DEFAULT_SAMPLES]
     for dr in (4e-3, 2e-3):
         out[f"compare/{dr!r}"] = _hex(chk.oracle_errors(dr, pts))
     for dr in (2e-3, 1e-3):
         out[f"leakage/{dr!r}"] = float(chk.leakage(dr)).hex()
+    # the stepped band reaches neither end of the grid by T = 0.3
+    short = orc.FDConfig(r_max=4.0, dr=1e-3, dt=8e-4, T=0.3,
+                         mollifier_width=1.2e-2, nu=0.5)
+    free = orc.FDConfig(r_max=4.0, dr=2e-3, dt=1.6e-3, T=2.5,
+                        mollifier_width=1.2e-2, nu=0.0)
+    out["field/short-T"] = _field(orc.solve_mode(short, 1.0))
+    out["field/nu-0"] = _field(orc.solve_mode(free, 1.0))
     return out
 
 
