@@ -8,9 +8,9 @@ with an internal error estimate that refuses to certify an inequality
 the grid cannot resolve.  The symbol layer builds the escape-function
 commutant a = e^{C xi_hat} chi(xi_hat/delta) chi~(-r^2+alpha xi_hat+2 delta)
 chi~(-(t-t0)^2+alpha xi_hat+2 delta) chi~(tau-tau0) chi((r^2-xi_hat^2-|zeta_hat|^2)/delta)
-from explicitly squared bump edges, differentiates it along the
-characteristic flow both analytically and by finite differences, and
-audits the sign of the derivative over quasi-random phase-space samples.
+from explicitly squared bump edges (`_commutants`: many points, one cutoff
+pass), differentiates it along the characteristic flow analytically and by
+finite differences, and audits its sign over quasi-random phase-space samples.
 """
 
 from __future__ import annotations
@@ -338,6 +338,9 @@ _EDGE_ROWS = 512            # edges per np.exp block: 512 x 64 doubles
 # integral of exp(-2/(1-u^2)) over (-1, 1); the edge normalizer
 BUMP_MASS = 0.13308612084499427
 _K_NORM = math.sqrt(2.0 / BUMP_MASS)
+# gauss_legendre(64) with its nodes moved onto (0, 2), built on first use
+_edge_rule = functools.cache(
+    lambda: (gauss_legendre(64)[0] + 1.0, gauss_legendre(64)[1]))
 
 
 def bump(x: float) -> float:
@@ -353,19 +356,20 @@ def _cutoffs(cuts: list) -> list:
     through np.exp together; np.vecdot takes each row's own BLAS dot with the
     weights, as w @ row does, where a gemv would round otherwise."""
     inner = [0.5 * (v + 1.0) for v, _ in cuts if not (v <= -1.0 or v >= 1.0)]
-    gl_x, gl_w = gauss_legendre(64)
+    nodes, gl_w = _edge_rule()
     shares = []
     for k in range(0, len(inner), _EDGE_ROWS):
         half = np.array(inner[k:k + _EDGE_ROWS])
-        x = -1.0 + half[:, None] * (gl_x + 1.0)
+        x = -1.0 + half[:, None] * nodes
         with np.errstate(divide="ignore"):
             # a node rounding onto the support edge gives exp(-inf) = 0, the limit
             y = np.exp(-2.0 / (1.0 - x * x))
         shares += (half * np.vecdot(y, gl_w) / BUMP_MASS).tolist()
-    shares = iter(shares)
-    edges = (0.0 if v <= -1.0 else 1.0 if v >= 1.0
-             else min(1.0, max(0.0, next(shares))) for v, _ in cuts)
-    return [1.0 - e if falling else e for e, (_, falling) in zip(edges, cuts)]
+    shares, out = iter(shares), []
+    for v, falling in cuts:
+        e = 0.0 if v <= -1.0 else 1.0 if v >= 1.0 else min(1.0, max(0.0, next(shares)))
+        out.append(1.0 - e if falling else e)
+    return out
 
 
 def _chi_cut(x: float) -> tuple:
@@ -459,16 +463,24 @@ def commutant_symbol(p: CommutantParams, point: FlowState,
     ratios xi/tau and zeta/tau make sense; every tau <= tau0 lands outside
     the tau step cutoff and gives 0.
     """
-    g = circle() if g is None else g
-    if point.tau == 0.0:
-        raise ValueError("commutant symbol needs tau != 0")
-    if point.tau <= p.tau0:
-        return 0.0
-    xh, _, sig, yr, yt = _symbol_coordinates(p, point, g)
-    if max(abs(xh), abs(sig)) >= 2.0 * p.delta or min(yr, yt) <= 0.0:
-        return 0.0
-    return math.prod(_cutoffs(_cuts(p, point.tau, xh, sig, yr, yt)),
-                     start=math.exp(p.C * xh))
+    return _commutants(p, [point], circle() if g is None else g)[0]
+
+
+def _commutants(p: CommutantParams, points: list, g: SphereMetric) -> list:
+    # commutant_symbol at each point: all live points' cuts take one _cutoffs call
+    heads, cuts = [], []
+    for point in points:
+        if point.tau == 0.0:
+            raise ValueError("commutant symbol needs tau != 0")
+        heads.append(None)
+        if point.tau > p.tau0:
+            xh, _, sig, yr, yt = _symbol_coordinates(p, point, g)
+            if max(abs(xh), abs(sig)) < 2.0 * p.delta and min(yr, yt) > 0.0:
+                heads[-1] = (math.exp(p.C * xh), len(cuts))
+                cuts += _cuts(p, point.tau, xh, sig, yr, yt)
+    vals = _cutoffs(cuts)
+    return [0.0 if h is None else math.prod(vals[h[1]:h[1] + 5], start=h[0])
+            for h in heads]
 
 
 def _cuts(p: CommutantParams, tau: float, xh: float, sig: float, yr: float,
@@ -512,9 +524,7 @@ def _setup(p: CommutantParams, point, g: SphereMetric) -> tuple:
     e1 = 1.0 < x1 < 2.0
     e2 = 1.0 < abs(sig / p.delta) < 2.0
     edge_step = (0.0 < yr < 1.0) or (0.0 < yt < 1.0)
-    r2 = point.r ** 2
-    if r2 == 0.0:
-        raise TauUnderflow(f"r^2 underflows at r={point.r!r}")
+    r2 = _r_squared(point)
     # characteristic_value(point, g) < delta
     dominated = point.tau ** 2 - (point.xi ** 2 + zq) / r2 < p.delta
     if (e1 and e2) or (edge_step and not dominated):
@@ -554,12 +564,25 @@ def _finish(p: CommutantParams, point, label: str, coords, vals: list):
              cutoff_chi_prime(sig / p.delta) / p.delta * sig_dot)
     if len(zeros) == 1:
         j = zeros[0]
-        return a, lever * rates[j] * math.prod(vals[:j] + vals[j + 1:]), label
+        return a, _finite(lever * rates[j] * math.prod(vals[:j] + vals[j + 1:]),
+                          point), label
     full = math.prod(vals)
     total = p.C * xh_dot * full
     for v, rate in zip(vals, rates):
         total += rate * (full / v)
-    return a, lever * total, label
+    return a, _finite(lever * total, point), label
+
+
+def _r_squared(point) -> float:
+    if (r2 := point.r ** 2) != 0.0:     # the momentum ratios divide by r^2
+        return r2
+    raise TauUnderflow(f"r^2 underflows at r={point.r!r}")
+
+
+def _finite(value: float, point) -> float:
+    if math.isfinite(value):            # H_p a: inf or nan once a rate overflows
+        return value
+    raise SymbolOverflow(f"H_p a = {value!r} at r={point.r!r}")
 
 
 @_typed_overflow
@@ -578,15 +601,15 @@ _FD_STEP = 1e-5             # flow step h of the "fd" Hamilton derivative
 
 def _hamilton_fd(p: CommutantParams, point: FlowState,
                  g: SphereMetric) -> float:
-    # one-sided second-order stencil along the rescaled flow, which stays
-    # smooth near r = 0; the rescaled field is r^2 times the singular one.
-    # One Richardson level, step h against h/2, cancels the h^2 term.
-    rates = []
-    for step in (_FD_STEP, 0.5 * _FD_STEP):
-        traj = integrate_flow(point, g, 2.0 * step, step, system="rescaled")
-        a0, a1, a2 = (commutant_symbol(p, st, g) for st in traj.states[:3])
-        rates.append((-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * step))
-    return (4.0 * rates[1] - rates[0]) / 3.0 / point.r ** 2
+    # one-sided second-order stencil along the rescaled flow, smooth near r = 0
+    # (the rescaled field is r^2 times the singular one); one Richardson level, h
+    # against h/2, cancels h^2.  A flow's state 0 is the base point: sent once.
+    r2, steps = _r_squared(point), (_FD_STEP, 0.5 * _FD_STEP)
+    a0, *ends = _commutants(p, [point] + [st for step in steps for st in integrate_flow(
+        point, g, 2.0 * step, step, system="rescaled").states[1:3]], g)
+    rates = [(-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * step)
+             for step, a1, a2 in zip(steps, ends[::2], ends[1::2])]
+    return _finite((4.0 * rates[1] - rates[0]) / 3.0 / r2, point)
 
 
 @_typed_overflow
@@ -599,8 +622,11 @@ def hamilton_derivative_symbol(p: CommutantParams, point: FlowState,
     operator at lower order and drops out of the principal Hamilton field,
     so the derivative takes no potential.  method "analytic"
     differentiates term by term; "fd" advances the rescaled flow by
-    _FD_STEP and takes a one-sided second-order difference of the symbol.
-    Returns (value, classification).
+    _FD_STEP and takes a one-sided second-order difference of the symbol,
+    with an absolute floor of about 5e-12 / r^2 (where H_p a = 0 at xi = zeta
+    = 0, t = t0 it reads 2e-11 at r = 0.5, 6.5 at r = 1e-6).  Returns (value,
+    classification); raises TauUnderflow where a ratio cannot be formed and
+    SymbolOverflow where H_p a is not finite.
     """
     g = circle() if g is None else g
     if point.r <= 0.0:
@@ -635,17 +661,18 @@ def sample_states(p: CommutantParams, start: int, count: int,
     to mid-chart.
     """
     g = circle() if g is None else g
-    # radical inverses of all int64 indices at once (f /= b; q += f * (i % b);
-    # i //= b), correctly rounded ops
+    # radical inverses of all int64 indices in all bases at once (f /= b; q += f *
+    # (i % b); i //= b), correctly rounded ops; base b runs while b ** k <= the top
+    # index, and a larger base never has more digits, so running rows are a prefix
     idx = np.array(range(start + 1, start + count + 1), dtype=np.int64).clip(0)
-    q = []
-    for b in _HALTON_BASES:
-        i, f, digits = idx, 1.0, np.zeros(idx.size)
-        while i.any():
-            f /= b
-            i, digit = np.divmod(i, b)
-            digits += f * digit
-        q.append(digits)
+    b = np.array(_HALTON_BASES)[:, None]
+    i, f, q = np.tile(idx, b.shape), np.ones(b.shape), np.zeros((b.size, idx.size))
+    top, k = int(idx.max(initial=0)), 0
+    while rows := sum(base ** k <= top for base in _HALTON_BASES):
+        b, f = b[:rows], f[:rows] / b[:rows]
+        i, digit = np.divmod(i[:rows], b)
+        q[:rows] += f * digit
+        k += 1
     two_d = 2.0 * p.delta
     xi_lo = max(-two_d, -two_d / p.alpha)
     xh = xi_lo + q[1] * (two_d - xi_lo)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import mpmath as mp
 
 from isqwave import energy as en
-from isqwave.geodesic import FlowState, circle, sphere_chart
+from isqwave.geodesic import FlowState, circle, integrate_flow, sphere_chart
 from isqwave.quadrature import gauss_legendre
 
 mp.mp.dps = 30
@@ -64,6 +64,18 @@ def test_batched_cutoffs_across_exp_blocks():
             zip(rng.uniform(-1.1, 1.1, 5000), rng.integers(0, 2, 5000))]
     assert [v.hex() for v in en._cutoffs(cuts)] == \
         [v.hex() for v in _scalar_cutoffs(cuts)]
+
+
+def test_cutoffs_split_across_exp_blocks_keep_their_bits():
+    # each cut's factor depends on its own row alone, wherever the 512-row
+    # np.exp blocks fall: the batched stencil and audit rely on this
+    rng = np.random.default_rng(11)
+    cuts = [(float(v), bool(f)) for v, f in
+            zip(rng.uniform(-1.05, 1.05, 1300), rng.integers(0, 2, 1300))]
+    whole = [v.hex() for v in en._cutoffs(cuts)]
+    for k in (1, 5, 300, 511, 512, 513, 700, 1299):
+        parts = en._cutoffs(cuts[:k]) + en._cutoffs(cuts[k:])
+        assert [v.hex() for v in parts] == whole, k
 
 
 class TestCutoffs:
@@ -477,14 +489,16 @@ class TestClassification:
 
     def test_r_squared_underflow_is_a_typed_error(self):
         # r^2 = 1e-340 underflows to 0, and the momentum ratio of the
-        # domination test divides by it, on the scalar and batch paths; the
-        # symbol divides by nothing there
+        # domination test divides by it, on the scalar and batch paths, as
+        # do the fd route and its flow; the symbol divides by nothing there
         pt = FlowState(t=0.0, r=1e-170, theta=(0.0,), tau=1.5, xi=0.0,
                        zeta=(0.0,))
         with pytest.raises(en.TauUnderflow):
             en.classify_point(params(), pt)
         with pytest.raises(en.TauUnderflow):
             en.hamilton_derivative_symbol(params(), pt)
+        with pytest.raises(en.TauUnderflow):
+            en.hamilton_derivative_symbol(params(), pt, method="fd")
         with pytest.raises(en.TauUnderflow):
             en._evaluate(params(), [state(), pt], circle())
         assert en.commutant_symbol(params(), pt) > 0.0
@@ -507,6 +521,17 @@ class TestClassification:
         for call in calls:
             with pytest.raises(en.SymbolOverflow):
                 call()
+
+    def test_subnormal_r_squared_rate_overflow_is_a_typed_error(self):
+        # r^2 = 1e-320 is subnormal: the xi_hat rate overflows, which left
+        # nan on the analytic route and -inf on the fd route
+        pt = FlowState(t=0.0, r=1e-160, theta=(0.1,), tau=1.5, xi=0.1,
+                       zeta=(0.2,))
+        for method in ("analytic", "fd"):
+            with pytest.raises(en.SymbolOverflow):
+                en.hamilton_derivative_symbol(params(), pt, method=method)
+        with pytest.raises(en.SymbolOverflow):
+            en._evaluate(params(), [state(), pt], circle())
 
     def test_negative_frequency_sheet_is_flat(self):
         value, label = en.hamilton_derivative_symbol(params(), state(tau=-1.5))
@@ -540,6 +565,16 @@ class TestDualRoute:
             seen.add(label)
         assert seen == {"main b2", "good-sign g", "hypothesis e1",
                         "elliptic e2", "mixed"}
+
+    @pytest.mark.parametrize("r", [0.5, 1e-3, 1e-6])
+    def test_fd_floor_is_absolute_in_r_squared(self, r):
+        # H_p a = 0 at xi = zeta = 0, t = t0; the fd route reads roundoff
+        # of about 5e-12 / r^2 there, as its docstring states
+        pt = state(r=r, tau=1.5)
+        va, _ = en.hamilton_derivative_symbol(params(), pt)
+        vf, _ = en.hamilton_derivative_symbol(params(), pt, method="fd")
+        assert va == 0.0
+        assert abs(vf - va) <= 1e-10 / r ** 2
 
 
 class TestAudit:
@@ -681,8 +716,12 @@ def _reference_states(p, start, count, dim):
        alpha=st.sampled_from(AUDIT_ALPHAS))
 @settings(max_examples=150, deadline=None)
 @example(start=2 ** 63 - 4, count=3, sphere=False, alpha=1.0)
+@example(start=-5, count=2048, sphere=False, alpha=2.487)
+@example(start=10 ** 6, count=2048, sphere=True, alpha=4.0)
+@example(start=2 ** 62, count=2048, sphere=False, alpha=13.0)
 def test_samples_match_the_scalar_radical_inverse(start, count, sphere, alpha):
-    # up to the last int64 index, 2**63 - 1
+    # up to the last int64 index, 2**63 - 1; the 2048-sample examples are
+    # blocks in which the bases run out of digits in turn
     count = min(count, 2 ** 63 - 1 - start)
     p, g = params(alpha=alpha), sphere_chart() if sphere else circle()
     got = [[v.hex() for v in (s.t, s.r, *s.theta, s.tau, s.xi, *s.zeta)]
@@ -718,6 +757,79 @@ def test_wide_delta_samples_stay_finite_off_an_empty_band():
     assert all(math.isfinite(value) for _, value, _, _ in rows)
     assert not any(audited for st, _, _, audited in rows if st.zeta == (0.0,))
     assert scan.scanned == 4096
+
+
+def _reference_fd(p, pt, g):
+    """The fd route composed as two integrate_flow calls and six
+    commutant_symbol calls (the base point twice): the float operations
+    the batched stencil must reproduce.  Returns (value, stencil states)."""
+    rates, states = [], []
+    for step in (en._FD_STEP, 0.5 * en._FD_STEP):
+        traj = integrate_flow(pt, g, 2.0 * step, step, system="rescaled")
+        a0, a1, a2 = (en.commutant_symbol(p, s, g) for s in traj.states[:3])
+        states += traj.states[:3]
+        rates.append((-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * step))
+    return (4.0 * rates[1] - rates[0]) / 3.0 / pt.r ** 2, states
+
+
+def _chart_state(sphere, r, xi_hat, zeta_hat, t, tau, theta):
+    if not sphere:
+        return state(r=r, xi_hat=xi_hat, zeta_hat=zeta_hat, t=t, tau=tau,
+                     theta=theta)
+    return FlowState(t=t, r=r, theta=(1.0 + 0.5 * math.sin(theta), theta),
+                     tau=tau, xi=xi_hat * tau,
+                     zeta=(0.6 * zeta_hat * tau, 0.8 * zeta_hat * tau))
+
+
+# xi_hat within 1e-5 of the live band's ends +-2 delta (delta = 0.3), and
+# tau within 1e-6 of tau0 = 1: stencil states there leave the support
+_band_edge = st.floats(-1e-5, 1e-5)
+_fd_xi_hat = st.one_of(st.floats(-0.8, 0.8), _band_edge.map(lambda e: 0.6 + e),
+                       _band_edge.map(lambda e: -0.6 + e))
+_fd_tau = st.one_of(st.floats(-3.0, -0.05), st.floats(0.05, 3.0),
+                    st.floats(1.0 - 1e-6, 1.0 + 1e-6))
+
+
+class TestBatchedStencil:
+    @given(sphere=st.booleans(), r=st.floats(0.01, 1.5), xi_hat=_fd_xi_hat,
+           zeta_hat=st.floats(0.0, 1.5), t=st.floats(-1.5, 1.5), tau=_fd_tau,
+           theta=st.floats(-3.0, 3.0), alpha=st.sampled_from(AUDIT_ALPHAS))
+    @settings(max_examples=150, deadline=None)
+    def test_fd_route_is_the_composed_stencil(self, sphere, r, xi_hat,
+                                              zeta_hat, t, tau, theta, alpha):
+        g = sphere_chart() if sphere else circle()
+        p = params(alpha=alpha)
+        pt = _chart_state(sphere, r, xi_hat, zeta_hat, t, tau, theta)
+        want, _ = _reference_fd(p, pt, g)
+        got, _ = en.hamilton_derivative_symbol(p, pt, g, method="fd")
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("sphere", [False, True])
+    @pytest.mark.parametrize("xi_hat", [0.6 + 2e-6, -0.6 + 2e-6])
+    def test_stencils_that_cross_the_band_edge(self, sphere, xi_hat):
+        # xi_hat falls along the flow: the stencil enters the live band at
+        # +2 delta and leaves it at -2 delta
+        g = sphere_chart() if sphere else circle()
+        p = params(alpha=4.0)
+        pt = _chart_state(sphere, 0.9, xi_hat, 0.5, 0.1, 1.5, 0.7)
+        want, states = _reference_fd(p, pt, g)
+        live = [abs(s.xi / s.tau) < 0.6 for s in states]
+        assert any(live) and not all(live)
+        got, _ = en.hamilton_derivative_symbol(p, pt, g, method="fd")
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("chart", [circle(), sphere_chart()])
+    def test_commutants_are_the_one_point_symbol(self, chart):
+        # live and dead points interleaved (tau <= tau0, off the xi_hat
+        # band), so every live point's five cuts must land at its own stride
+        p = params(alpha=2.487)
+        live = en.sample_states(p, 40, 30, chart)
+        points = [q for pt in live for q in
+                  (pt, pt._replace(tau=0.5 * pt.tau), pt._replace(xi=pt.tau))]
+        got = en._commutants(p, points, chart)
+        want = [en.commutant_symbol(p, pt, chart) for pt in points]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert sum(v > 0.0 for v in got) >= 25
 
 
 class TestSharedEvaluation:

@@ -10,11 +10,16 @@ directory. The JSON printed holds
 
     flows         float.hex digests of integrate_flow on both charts and
                   both systems, and of one trace_through_origin
-    samples       digests of sample_states on the circle and the sphere
+    samples       digests of sample_states on the circle and the sphere, at
+                  counts 1, 8, 2048 and 3000 from index 18 and at counts 8
+                  and 2048 from index 2**62 + 1
     audits        per alpha of the tests' AUDIT_ALPHAS: a digest of the
                   AuditScan stream (state, H_p a, label, audited) on both
                   charts, and sign_audit's scanned, kept, max and counts
-    dual_route    the analytic and fd Hamilton derivatives, as hex
+    dual_route    digests of the analytic and fd Hamilton derivatives, as
+                  hex, at 200 Halton samples per alpha in DUAL_ALPHAS on the
+                  circle and the sphere; and both at the fd route's envelope
+                  points (xi = zeta = 0, t = t0) for r in ENVELOPE_RADII
     alpha_star    alpha_star() as hex
     kernel        digests of mode_kernel over the benchmark's mode-sum
                   ranges (a = 0, every mode n <= 300 between the cones and
@@ -66,6 +71,10 @@ from pathlib import Path
 import numpy as np
 
 AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
+DUAL_ALPHAS = (1.0, 4.0, 13.0)
+ENVELOPE_RADII = (0.5, 1e-3, 1e-6, 1e-150)
+SAMPLE_RUNS = ((17, 1), (17, 8), (17, 2048), (17, 3000), (2 ** 62, 8),
+               (2 ** 62, 2048))
 STREAM = 4096               # AuditScan samples per alpha and chart
 WIDTH = 0.8                 # involution profile r^nu exp(-r^2 / (2 WIDTH^2))
 FRONT_DELTAS = "0.02,0.005,1e-3,2e-4,4e-5"
@@ -130,10 +139,11 @@ def flows(geo) -> dict:
 
 def samples(geo, en) -> dict:
     p = en.CommutantParams(alpha=2.487)
-    return {name: _digest(_state_row(st)
-                          for st in en.sample_states(p, 17, 3000, g))
+    return {f"{name}/{start}+{count}": _digest(
+                _state_row(st) for st in en.sample_states(p, start, count, g))
             for name, g in (("circle", geo.circle()),
-                            ("sphere", geo.sphere_chart()))}
+                            ("sphere", geo.sphere_chart()))
+            for start, count in SAMPLE_RUNS}
 
 
 def audits(geo, en) -> dict:
@@ -158,11 +168,25 @@ def audits(geo, en) -> dict:
     return out
 
 
-def dual_route(geo, en) -> list:
-    p, g = en.CommutantParams(alpha=4.0), geo.circle()
-    return [_hex((en.hamilton_derivative_symbol(p, st, g)[0],
-                  en.hamilton_derivative_symbol(p, st, g, method="fd")[0]))
-            for st in en.sample_states(p, 0x5EED, 40, g)]
+def _both_routes(en, p, st, g) -> list:
+    return _hex((en.hamilton_derivative_symbol(p, st, g)[0],
+                 en.hamilton_derivative_symbol(p, st, g, method="fd")[0]))
+
+
+def dual_route(geo, en) -> dict:
+    out = {}
+    for alpha in DUAL_ALPHAS:
+        p = en.CommutantParams(alpha=alpha)
+        for name, g in (("circle", geo.circle()),
+                        ("sphere", geo.sphere_chart())):
+            out[f"{alpha!r}/{name}"] = _digest(
+                _both_routes(en, p, st, g)
+                for st in en.sample_states(p, 0x5EED, 200, g))
+    p, g = en.CommutantParams(), geo.circle()
+    out["envelope"] = [_both_routes(en, p, geo.FlowState(
+        t=p.t0, r=r, theta=(0.0,), tau=1.5, xi=0.0, zeta=(0.0,)), g)
+        for r in ENVELOPE_RADII]
+    return out
 
 
 def kernel_values(ker, orc) -> dict:
