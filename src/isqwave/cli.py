@@ -32,7 +32,7 @@ from .kernel import (KernelPoint, Region, classify_region, cone_sides,
                      extrapolate_to_cone, is_mode_jump_nonzero, mode_kernel_rows,
                      mode_params)
 from .oracle import FDConfig, compare_kernel, solve_mode
-from .specfun import bessel_j, gamma, legendre_q_shifted
+from .specfun import DomainError, bessel_j, gamma, legendre_q_shifted
 
 DEFAULT_SEED = 0x5EED
 
@@ -220,8 +220,11 @@ def cmd_specfun(cfg: RunConfig, sink: CsvSink) -> int:
         raise UsageError(f"unknown function {name!r}; "
                          "pick bessel-j, gamma, or legendre-q")
     sink.header(("function", "order", "argument", "value"))
-    for x in xs:
-        sink.row((name, order, float(x), fn(float(x))))
+    try:
+        for x in xs:
+            sink.row((name, order, float(x), fn(float(x))))
+    except DomainError as exc:          # an argument or order off the envelope
+        raise UsageError(str(exc)) from exc
     return EXIT_OK
 
 

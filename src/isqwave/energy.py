@@ -517,6 +517,7 @@ def classify_point(p: CommutantParams, point: FlowState,
 def _setup(p: CommutantParams, point, g: SphereMetric) -> tuple:
     # (classify_point's label, coordinates, cutoffs) at r > 0; no cutoffs
     # where a and H_p a vanish: tau <= 0 and outside the live xi_hat band
+    r2 = _r_squared(point)
     if point.tau <= 0.0:
         return "main b2", None, []
     xh, zq, sig, yr, yt = coords = _symbol_coordinates(p, point, g)
@@ -524,7 +525,6 @@ def _setup(p: CommutantParams, point, g: SphereMetric) -> tuple:
     e1 = 1.0 < x1 < 2.0
     e2 = 1.0 < abs(sig / p.delta) < 2.0
     edge_step = (0.0 < yr < 1.0) or (0.0 < yt < 1.0)
-    r2 = _r_squared(point)
     # characteristic_value(point, g) < delta
     dominated = point.tau ** 2 - (point.xi ** 2 + zq) / r2 < p.delta
     if (e1 and e2) or (edge_step and not dominated):

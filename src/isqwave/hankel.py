@@ -8,7 +8,8 @@ short enough to resolve the fastest Bessel oscillation requested, and the
 order-nu Bessel factor is a table J_nu(lam_i node_j) built by bessel_j_array in
 row blocks of about 2^15 elements. One slot, keyed on the order, the
 wavenumbers' bytes and r_max (which fix the nodes), keeps the newest table for
-the next transform alone; at 320 points on r_max = 12 it is 320 x 1152 doubles.
+the next transform alone (with the cubic basis from the field's grid to the
+nodes); at 320 points on r_max = 12 it is 320 x 1152 doubles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ MIN_OPERATOR_POINTS = 16
 MIN_TRANSFORM_POINTS = 4   # samples of one local cubic window
 GRADING_GAMMA = 6.26       # first point ~1e-4*r_max, step ratio ~1.05 at n=120
 _TABLE_BLOCK = 1 << 15     # Bessel table elements per bessel_j_array call
-_table_slot: dict = {}     # (order, wavenumber bytes, r_max) -> Bessel table
+_table_slot: dict = {}     # (order, wavenumber bytes, r_max) -> table, basis
 
 
 class HankelError(Exception):
@@ -89,23 +90,20 @@ def graded_grid(r_max: float, n_points: int) -> RadialGrid:
     return RadialGrid(pts, r_max)
 
 
-def _local_cubic(xs: np.ndarray, ys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Piecewise-cubic Lagrange interpolation through 4 nearest samples.
-    Queries outside [xs[0], xs[-1]] use the closest window (extrapolation,
-    needed only for the sliver between r = 0 and the first grid point)."""
-    idx = np.searchsorted(xs, q)
-    i0 = np.clip(idx - 2, 0, len(xs) - 4)
-    out = np.zeros_like(q, dtype=float)
+def _cubic_basis(xs: np.ndarray, q: np.ndarray) -> list:
+    """(window indices, Lagrange factor) of each of the 4 samples nearest q,
+    for piecewise-cubic interpolation. Queries outside [xs[0], xs[-1]] use
+    the closest window (extrapolation, needed only for the sliver between
+    r = 0 and the first grid point)."""
+    i0 = np.clip(np.searchsorted(xs, q) - 2, 0, len(xs) - 4)
+    idx = [i0 + m for m in range(4)]
+    x = [xs[i] for i in idx]
+    d = [q - xm for xm in x]
+    basis = []
     for k in range(4):
-        term = np.full_like(q, 1.0, dtype=float)
-        xk = xs[i0 + k]
-        for m in range(4):
-            if m == k:
-                continue
-            xm = xs[i0 + m]
-            term *= (q - xm) / (xk - xm)
-        out += ys[i0 + k] * term
-    return out
+        f1, f2, f3 = (d[m] / (x[k] - x[m]) for m in range(4) if m != k)
+        basis.append((idx[k], f1 * f2 * f3))
+    return basis
 
 
 def _panel_nodes(a: float, b: float, lam_max: float):
@@ -132,12 +130,13 @@ def _check_tail(field: RadialField):
             f"{m[tail_mask].max() / peak:.2e} of the peak amplitude")
 
 
-def _bessel_table(nu: float, lam: np.ndarray, r_max: float):
-    """(nodes, weights, J_nu(lam_i * node_j)), built _TABLE_BLOCK elements
-    at a time. A hit empties the slot, so a pair of transforms (involution,
-    eigen check) builds one table and holds none after: a table held past
-    it splits the heap hole a later 10 MB FD solve needs."""
-    key = (nu, lam.tobytes(), r_max)
+def _bessel_table(nu: float, lam: np.ndarray, r_max: float, xs: np.ndarray):
+    """(nodes, weights, J_nu(lam_i * node_j), _cubic_basis(xs, nodes)), the
+    table built _TABLE_BLOCK elements at a time. A hit empties the slot, so
+    a pair of transforms (involution, eigen check) builds one table and
+    holds none after: a table held past it splits the heap hole a later
+    10 MB FD solve needs. A hit on the same grid points reuses the basis."""
+    key, grid = (nu, lam.tobytes(), r_max), xs.tobytes()
     held = _table_slot.pop(key, None)
     if held is None:
         _table_slot.clear()
@@ -146,8 +145,11 @@ def _bessel_table(nu: float, lam: np.ndarray, r_max: float):
         rows = max(1, _TABLE_BLOCK // len(nodes))
         for i in range(0, len(lam), rows):
             table[i:i + rows] = bessel_j_array(nu, lam[i:i + rows, None] * nodes)
-        held = _table_slot[key] = nodes, weights, table
-    return held
+        held = _table_slot[key] = nodes, weights, table, grid, _cubic_basis(xs, nodes)
+    nodes, weights, table, held_grid, basis = held
+    if held_grid != grid:
+        basis = _cubic_basis(xs, nodes)
+    return nodes, weights, table, basis
 
 
 def hankel_transform(field: RadialField, order, out_grid: RadialGrid) -> RadialField:
@@ -156,9 +158,11 @@ def hankel_transform(field: RadialField, order, out_grid: RadialGrid) -> RadialF
     if n < MIN_TRANSFORM_POINTS:
         raise GridTooCoarse(f"need >= {MIN_TRANSFORM_POINTS} points, got {n}")
     _check_tail(field)
-    nodes, weights, table = _bessel_table(float(order), out_grid.points,
-                                          field.grid.r_max)
-    gv = _local_cubic(field.grid.points, field.values, nodes)
+    nodes, weights, table, basis = _bessel_table(
+        float(order), out_grid.points, field.grid.r_max, field.grid.points)
+    gv = np.zeros_like(nodes)
+    for i, term in basis:           # the local cubic through the field's samples
+        gv += field.values[i] * term
     wgr = weights * gv * nodes
     # np.vecdot: one BLAS dot per row, where a gemv (table @ wgr) would round otherwise
     return RadialField(out_grid, np.vecdot(table, wgr))

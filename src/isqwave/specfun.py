@@ -18,6 +18,7 @@ from .quadrature import integrate_adaptive, integrate_decaying
 
 MILLER_Z_MAX = 20.0        # Miller's algorithm up to here for any order
 MILLER_ORDER_RATIO = 0.75  # and beyond, whenever nu >= ratio * z
+BESSEL_Z_MAX = 2.0 ** 40   # past it the rounded phase z - (2mu+1)pi/4 errs > 1e-10
 _LOG_EPS = 53 * math.log(2.0)  # -ln of the double-precision unit roundoff
 _GAMMA_X_MAX = 171.62      # Gamma(x) overflows a double just above this
 _Q_TOL = 1e-11
@@ -145,17 +146,19 @@ def _bessel_miller(nu: float, z, segments):
     return np.power(z, mu) / 2.0 ** mu * p / u
 
 
-def _bessel_asymptotic_reduced(mu: float, z):
+def _bessel_asymptotic_reduced(mu, z):
     """Phase expansion for J_mu(z), |mu| < 2, z > 20 (DLMF 10.17(i)), where
-    none of its 29 terms grows against the one before it."""
+    none of its 29 terms grows against the one before it. mu is a float, or
+    a column of orders that each get the bits of their own call."""
     mu4 = 4.0 * mu * mu
     P, Q, term = 1.0, 0.0, 1.0
     for k in range(1, 30):
         term = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * z)
+        # the sign (-1)^j as an add or a subtract: x + t * (-1.0) is x - t
         if k % 2 == 1:
-            Q = Q + term * (-1.0) ** ((k - 1) // 2)
+            Q = Q + term if k % 4 == 1 else Q - term
         else:
-            P = P + term * (-1.0) ** (k // 2)
+            P = P + term if k % 4 == 0 else P - term
     omega = z - mu * math.pi / 2.0 - math.pi / 4.0
     return np.sqrt(2.0 / (math.pi * z)) * (P * np.cos(omega) - Q * np.sin(omega))
 
@@ -165,25 +168,29 @@ def _bessel_large_z(nu: float, z):
     phase expansion plus upward recurrence (stable since nu < z here)."""
     m = int(math.floor(nu))
     mu0 = nu - m
-    j_lo = _bessel_asymptotic_reduced(mu0, z)
     if m == 0:
-        return j_lo
-    j_hi = _bessel_asymptotic_reduced(mu0 + 1.0, z)
+        return _bessel_asymptotic_reduced(mu0, z)
+    if isinstance(z, float):    # two scalar passes, cheaper than one on (2, 1)
+        j_lo = _bessel_asymptotic_reduced(mu0, z)
+        j_hi = _bessel_asymptotic_reduced(mu0 + 1.0, z)
+    else:                       # an array takes both orders in one pass
+        j_lo, j_hi = _bessel_asymptotic_reduced(np.array([[mu0], [mu0 + 1.0]]), z)
     for k in range(1, m):
         j_lo, j_hi = j_hi, (2.0 * (mu0 + k) / z) * j_hi - j_lo
     return j_hi
 
 
 def bessel_j(order, z: float) -> float:
-    """J_nu(z) for nu >= 0 and finite z >= 0.
+    """J_nu(z) for nu >= 0 and 0 <= z <= BESSEL_Z_MAX = 2^40 (DomainError
+    above), to 1e-10 absolute: 6.5e-11 at most against mpmath on [2^39, 2^40].
 
     Where |J_nu(z)| falls below the smallest normal double, 2.2e-308 (nu much
     larger than z), the value returned is subnormal or 0: its absolute error
     stays below 1e-307, its relative error does not.
     """
     nu = _order_value(order)
-    if not 0.0 <= z < math.inf:
-        raise DomainError(f"bessel_j requires finite z >= 0, got {z!r}")
+    if not 0.0 <= z <= BESSEL_Z_MAX:
+        raise DomainError(f"bessel_j requires 0 <= z <= 2**40, got {z!r}")
     if z == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     if z <= MILLER_Z_MAX or nu >= MILLER_ORDER_RATIO * z:
@@ -193,15 +200,16 @@ def bessel_j(order, z: float) -> float:
 
 
 def bessel_j_array(order, z: np.ndarray) -> np.ndarray:
-    """bessel_j over an array of arguments z of any shape, for a single order.
+    """bessel_j over an array of arguments z of any shape, for a single order,
+    in bessel_j's envelope 0 <= z <= BESSEL_Z_MAX (DomainError outside it).
 
     Each row (last axis) gets the bits of a 1-D call on it: its Miller
     elements start at _miller_start of their largest, in one recurrence
     shared by all rows."""
     nu = _order_value(order)
     z = np.asarray(z, dtype=float)
-    if not np.all((z >= 0.0) & (z < np.inf)):
-        raise DomainError("bessel_j_array requires finite z >= 0")
+    if not np.all((z >= 0.0) & (z <= BESSEL_Z_MAX)):
+        raise DomainError("bessel_j_array requires 0 <= z <= 2**40")
     out = np.empty_like(z)
     zero = z == 0.0
     out[zero] = 1.0 if nu == 0.0 else 0.0

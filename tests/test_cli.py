@@ -111,6 +111,16 @@ class TestSpecfun:
         exact = math.sqrt(2.0 / math.pi) * math.sin(1.0)
         assert float(rows[0][3]) == pytest.approx(exact, rel=1e-12)
 
+    def test_argument_above_the_envelope_is_a_usage_error(self, capsys):
+        # bessel_j refuses z > 2^40, where its rounded phase drifts
+        code, out, err = run_cli(capsys, "specfun", "--function", "bessel-j",
+                                 "--order", "0.3", "--arg-min", "1",
+                                 "--arg-max", "1e17", "--points", "3",
+                                 "--reproducible")
+        assert code == EXIT_USAGE
+        assert "usage" in err and "2**40" in err
+        assert out == ""
+
     def test_gamma_row(self, capsys):
         _, out, _ = run_cli(capsys, "specfun", "--function", "gamma",
                             "--arg-min", "5", "--arg-max", "5",

@@ -503,6 +503,19 @@ class TestClassification:
             en._evaluate(params(), [state(), pt], circle())
         assert en.commutant_symbol(params(), pt) > 0.0
 
+    def test_r_squared_underflow_refused_on_the_negative_sheet(self):
+        # at tau <= 0 a and H_p a vanish, yet r^2 = 0 is refused first, so
+        # the analytic and fd routes and the classification agree there
+        for tau in (-1.5, -1e-300):
+            pt = FlowState(t=0.0, r=1e-170, theta=(0.0,), tau=tau, xi=0.0,
+                           zeta=(0.0,))
+            for method in ("analytic", "fd"):
+                with pytest.raises(en.TauUnderflow):
+                    en.hamilton_derivative_symbol(params(), pt, method=method)
+            with pytest.raises(en.TauUnderflow):
+                en.classify_point(params(), pt)
+            assert en.commutant_symbol(params(), pt) == 0.0
+
     @pytest.mark.parametrize("p, pt", [
         # tau ** 2 overflows
         (params(), FlowState(t=0.0, r=1.0, theta=(0.0,), tau=1e200, xi=1e200,

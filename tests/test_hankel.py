@@ -138,6 +138,48 @@ def test_table_slot_never_serves_stale_values():
         assert again.tobytes() == first[k].tobytes(), k
 
 
+def test_hit_on_another_grid_rebuilds_the_basis(monkeypatch):
+    # same order, wavenumbers and r_max: the second transform takes the
+    # held table, but its field lies on other radii, so the cubic basis is
+    # built anew and the values are those of a cold transform
+    out = RadialGrid(np.linspace(0.1, 4.0, 30), 4.0)
+    grids = [graded_grid(R_MAX, 80), graded_grid(R_MAX, 96)]
+    fields = [RadialField(g, g.points * np.exp(-g.points ** 2 / 2))
+              for g in grids]
+    cold = []
+    for f in fields:
+        hankel._table_slot.clear()
+        cold.append(hankel_transform(f, 1.5, out).values)
+    builds = []
+    basis = hankel._cubic_basis
+    monkeypatch.setattr(hankel, "_cubic_basis",
+                        lambda xs, q: builds.append(len(xs)) or basis(xs, q))
+    hankel._table_slot.clear()
+    hankel_transform(fields[0], 1.5, out)
+    again = hankel_transform(fields[1], 1.5, out).values
+    assert builds == [80, 96]
+    assert not hankel._table_slot
+    assert again.tobytes() == cold[1].tobytes()
+
+
+def test_pairs_build_one_basis_and_hold_nothing_after(monkeypatch):
+    # the eigen pair and the involution pair: one table, one basis, and an
+    # empty slot once the second transform has run
+    builds = []
+    basis = hankel._cubic_basis
+    monkeypatch.setattr(hankel, "_cubic_basis",
+                        lambda xs, q: builds.append(len(xs)) or basis(xs, q))
+    g = graded_grid(R_MAX, 160)
+    fld = RadialField(g, g.points ** 2 * np.exp(-g.points ** 2 / 2))
+    lam = RadialGrid(np.linspace(0.05, 6.0, 4), 6.0)
+    hankel._table_slot.clear()
+    hankel_transform(apply_radial_operator(fld, 2.0), 2.0, lam)
+    hankel_transform(fld, 2.0, lam)
+    assert builds == [160] and not hankel._table_slot
+    verify_involution(fld, 2.0)
+    assert builds == [160, 160] and not hankel._table_slot
+
+
 class TestInvolution:
     def test_defect_small_and_decreasing(self):
         d_base = verify_involution(gaussian_field(80), 0.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isqwave import specfun
 from isqwave.quadrature import integrate_adaptive
 from isqwave.specfun import (
+    BESSEL_Z_MAX,
     MILLER_ORDER_RATIO,
     MILLER_Z_MAX,
     DomainError,
@@ -231,12 +232,74 @@ def test_amplitude_bound():
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0.0, 300.0),
-       st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 2.2e-308)))
+       st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 2.2e-308),
+                 st.floats(1e4, BESSEL_Z_MAX)))
 def test_property_against_mpmath(nu, z):
-    # z draws include subnormals; where |J| underflows both sides are ~0
+    # z draws include subnormals and reach the envelope's 2^40, where the
+    # phase z - (2 mu + 1) pi/4 rounds by up to half an ulp of z;
+    # where |J| underflows both sides are ~0
     value = bessel_j(nu, z)
     assert abs(value - float(mpmath.besselj(nu, z))) <= 1e-10, (nu, z)
     assert bessel_j_array(nu, np.array([z]))[0] == value
+
+
+def test_arguments_above_the_envelope_are_refused():
+    # at z = 1e17 the double-precision phase puts J 0.9 off in relative
+    # terms; 2^40 is the last argument served
+    assert abs(bessel_j(0.3, BESSEL_Z_MAX)
+               - float(mpmath.besselj(0.3, BESSEL_Z_MAX))) <= 1e-10
+    for z in (math.nextafter(BESSEL_Z_MAX, math.inf), 1e15, 1e17):
+        with pytest.raises(DomainError):
+            bessel_j(0.3, z)
+        with pytest.raises(DomainError):
+            bessel_j_array(1.7, np.array([[25.0, z], [1.0, 2.0]]))
+
+
+def reduced_by_factors(mu: float, z):
+    # the phase expansion with each sign taken as a factor (-1.0)^j
+    mu4 = 4.0 * mu * mu
+    P, Q, term = 1.0, 0.0, 1.0
+    for k in range(1, 30):
+        term = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * z)
+        if k % 2 == 1:
+            Q = Q + term * (-1.0) ** ((k - 1) // 2)
+        else:
+            P = P + term * (-1.0) ** (k // 2)
+    omega = z - mu * math.pi / 2.0 - math.pi / 4.0
+    return np.sqrt(2.0 / (math.pi * z)) * (P * np.cos(omega) - Q * np.sin(omega))
+
+
+def two_pass_large_z(nu: float, z):
+    # one single-order pass per reduced order, then upward recurrence
+    m = math.floor(nu)
+    mu0 = nu - m
+    j_lo = reduced_by_factors(mu0, z)
+    if m == 0:
+        return j_lo
+    j_hi = reduced_by_factors(mu0 + 1.0, z)
+    for k in range(1, m):
+        j_lo, j_hi = j_hi, (2.0 * (mu0 + k) / z) * j_hi - j_lo
+    return j_hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 12),
+       st.lists(st.floats(MILLER_Z_MAX, BESSEL_Z_MAX, exclude_min=True),
+                min_size=1, max_size=12), st.integers(1, 3))
+def test_order_pair_pass_keeps_each_orders_bits(mu0, m, zs, n_rows):
+    # the (2, k) phase-expansion pass gives each order the bits of its own
+    # single-order pass, on a 1-D array and through bessel_j_array on a
+    # table; the scalar path gives the single-order passes' bits
+    z = np.array(zs)
+    pair = specfun._bessel_asymptotic_reduced(np.array([[mu0], [mu0 + 1.0]]), z)
+    for row, mu in zip(pair, (mu0, mu0 + 1.0)):
+        assert same_bits(row, reduced_by_factors(mu, z)), mu
+    nu = mu0 + m            # below 0.75 * 20: every z here is on large z
+    table = np.stack([np.roll(z, k) for k in range(n_rows)])
+    assert same_bits(bessel_j_array(nu, table),
+                     np.stack([two_pass_large_z(nu, row) for row in table]))
+    for zi in zs:
+        assert bessel_j(nu, zi).hex() == float(two_pass_large_z(nu, zi)).hex()
 
 
 def test_large_order_pins():

@@ -38,10 +38,16 @@ directory. The JSON printed holds
                   kernel.mode_kernel_rows
     hankel        digests of bessel_j_array on 1-D arrays mixing zero,
                   Miller and large-z arguments at orders 0, 0.5, 1.3, 2
-                  and 12; of hankel_transform applied twice over the
-                  benchmark's 80/160/320 involution chain at orders 0,
-                  0.5, 1.3 and 2; verify_involution on that chain as hex;
-                  and the eigen pair H(L g), H(g) at 4 and 120 wavenumbers
+                  and 12; of scalar bessel_j at seeded z in (20, 400] for
+                  orders 0.3, 1.3, 2.7 and 12 (floor(nu) = 0, 1, 2 and 12:
+                  one reduced order, both, one and eleven steps of upward
+                  recurrence); of hankel_transform
+                  applied twice over the benchmark's 80/160/320 involution
+                  chain at orders 0, 0.5, 1.3 and 2; verify_involution on
+                  that chain as hex; the eigen pair H(L g), H(g) at 4 and
+                  120 wavenumbers; and pairs of transforms onto one
+                  wavenumber grid whose second field lies on another radial
+                  grid (160 then 120 points, and 120 then 160)
     oracle        digests of one dr = 1e-3 solve_mode field (its slices,
                   energies and times); compare_kernel's relative errors at
                   DEFAULT_SAMPLES for dr = 4e-3 and 2e-3, and checks.leakage
@@ -267,6 +273,10 @@ def hankel_values(hk, sf) -> dict:
             + [rng.uniform(20.0, 120.0) for _ in range(300)]
         rng.shuffle(z)
         bessel[repr(nu)] = _digest([_hex(sf.bessel_j_array(nu, np.array(z)))])
+    scalar = {}
+    for nu in (0.3, 1.3, 2.7, 12.0):
+        z = [rng.uniform(20.0, 400.0) for _ in range(400)] + [400.0]
+        scalar[repr(nu)] = _digest([_hex(sf.bessel_j(nu, x) for x in z)])
     chain, involution = [], []
     for nu in (0.0, 0.5, 1.3, 2.0):
         for n in (80, 160, 320):
@@ -286,8 +296,19 @@ def hankel_values(hk, sf) -> dict:
             left = hk.hankel_transform(hk.apply_radial_operator(f, nu), nu, lam)
             right = hk.hankel_transform(f, nu, lam)
             eigen[f"{nu!r}/{k}"] = _digest([_hex(left.values), _hex(right.values)])
-    return {"bessel_j_array": bessel, "transforms": _digest(chain),
-            "verify_involution": involution, "eigen": eigen}
+    # the second transform hits the first one's table from another grid
+    regrid = {}
+    lam = hk.RadialGrid(np.linspace(0.05, 6.0, 40), 6.0)
+    for sizes in ((160, 120), (120, 160)):
+        rows = []
+        for n in sizes:
+            g = hk.graded_grid(12.0, n)
+            f = hk.RadialField(g, g.points * np.exp(-g.points ** 2 / 2.0))
+            rows.append(_hex(hk.hankel_transform(f, 1.3, lam).values))
+        regrid["/".join(map(str, sizes))] = _digest(rows)
+    return {"bessel_j_array": bessel, "bessel_j": scalar,
+            "transforms": _digest(chain), "verify_involution": involution,
+            "eigen": eigen, "regrid": regrid}
 
 
 def _field(field) -> dict:
