@@ -302,10 +302,13 @@ def _parse_points(spec: str, r2: float):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
+        try:
+            r1, t = map(float, chunk.split(":"))
+        except ValueError:
             raise UsageError(f"bad sample point {chunk!r}; expected r1:t")
-        pts.append(KernelPoint(float(parts[0]), r2, float(parts[1])))
+        _require(0 < r1 < math.inf and 0 < t < math.inf,
+                 f"sample point {chunk!r} needs finite r1 and t > 0")
+        pts.append(KernelPoint(r1, r2, t))
     _require(len(pts) >= 1, "need at least one sample point")
     return pts
 

@@ -9,8 +9,9 @@ the grid cannot resolve.  The symbol layer builds the escape-function
 commutant a = e^{C xi_hat} chi(xi_hat/delta) chi~(-r^2+alpha xi_hat+2 delta)
 chi~(-(t-t0)^2+alpha xi_hat+2 delta) chi~(tau-tau0) chi((r^2-xi_hat^2-|zeta_hat|^2)/delta)
 from explicitly squared bump edges (`_commutants`: many points, one cutoff
-pass), differentiates it along the characteristic flow analytically and by
-finite differences, and audits its sign over quasi-random phase-space samples.
+pass), differentiates it along the characteristic flow analytically (each
+edge's slope from its (v, falling) cut) and by finite differences, and
+audits its sign over quasi-random phase-space samples.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ def _typed_overflow(fn):
 class TestFunction:
     """u and its first derivatives sampled on a product grid r x polar angle.
 
-    The angular nodes must be the ones `polar_quadrature(len(phi))` returns;
-    the integral routines refuse anything else because the weights would not
-    match.
+    The angular nodes must be the ones `polar_quadrature(len(phi))` returns,
+    at least one of them, so that the integral routines' weights match.
     """
 
     r: np.ndarray
@@ -82,8 +82,9 @@ class TestFunction:
             raise ValueError("radial grid must be 1-d with at least 8 nodes")
         if not (r[0] > 0 and np.all(np.diff(r) > 0)):
             raise ValueError("radial grid must be strictly increasing and positive")
-        if phi.ndim != 1 or np.any(phi <= 0) or np.any(phi >= math.pi):
-            raise ValueError("angular nodes must lie strictly inside (0, pi)")
+        if phi.ndim != 1 or phi.size == 0 or not np.allclose(
+                phi, polar_quadrature(phi.size)[0], rtol=0.0, atol=1e-12):
+            raise ValueError("angular nodes must come from polar_quadrature")
         shape = (r.size, phi.size)
         for name in ("u", "du_r", "du_phi"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -123,7 +124,7 @@ def constant_potential(c: float) -> PotentialProfile:
         sup_bound=abs(c), lower_bound=c)
 
 
-def polar_quadrature(count: int = 32):
+def polar_quadrature(count: int):
     """quadrature.gauss_legendre(count) mapped to the polar interval (0, pi)."""
     x, w = gauss_legendre(count)
     return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
@@ -142,10 +143,7 @@ def angular_weights(n: int, phi: np.ndarray, glw: np.ndarray) -> np.ndarray:
 
 
 def _weights_for(tf: TestFunction, n: int) -> np.ndarray:
-    phi, glw = polar_quadrature(tf.phi.size)
-    if not np.allclose(phi, tf.phi, rtol=0.0, atol=1e-12):
-        raise ValueError("angular nodes must come from polar_quadrature")
-    return angular_weights(n, phi, glw)
+    return angular_weights(n, *polar_quadrature(tf.phi.size))
 
 
 def _radial_integral(vals: np.ndarray, r: np.ndarray, what: str) -> float:
@@ -257,11 +255,10 @@ def sphere_min_eigenvalue(f, n: int) -> float:
 _MAX_RADII = 64             # support radii sampled for the sphere gap
 
 
-def _support_radii(tf: TestFunction, n: int,
-                   aw: Optional[np.ndarray] = None) -> np.ndarray:
-    """Radii of the rows carrying u's mass, at most _MAX_RADII of them,
-    evenly picked; aw is the angular rule, built here when not given."""
-    row_mass = tf.u ** 2 @ (_weights_for(tf, n) if aw is None else aw)
+def _support_radii(tf: TestFunction, aw: np.ndarray) -> np.ndarray:
+    """Radii of the rows carrying u's mass on the angular rule aw, at most
+    _MAX_RADII of them, evenly picked."""
+    row_mass = tf.u ** 2 @ aw
     supported = np.nonzero(row_mass > 1e-12 * row_mass.max())[0]
     if supported.size == 0:
         raise ValueError("zero test function")
@@ -291,7 +288,7 @@ def _sphere_gap_sq(f: PotentialProfile, radii, n: int) -> float:
 def _norm_terms(tf: TestFunction, f: PotentialProfile, n: int):
     """(Q(u), gradient energy, support radii) on one angular rule."""
     aw = _weights_for(tf, n)
-    return (*_form_and_gradient(tf, f, n, aw), _support_radii(tf, n, aw))
+    return (*_form_and_gradient(tf, f, n, aw), _support_radii(tf, aw))
 
 
 def _norm_constants(f: PotentialProfile, radii, n: int):
@@ -377,19 +374,11 @@ def _chi_cut(x: float) -> tuple:
     return (2.0 * x + 3.0, False) if x < 0.0 else (2.0 * x - 3.0, True)
 
 
-def phi1(x: float) -> float:
-    """Rising edge generator of chi, supported on (-2, -1)."""
-    return _K_NORM * bump(2.0 * x + 3.0)
-
-
-def phi2(x: float) -> float:
-    """Falling edge generator of chi, supported on (1, 2)."""
-    return _K_NORM * bump(2.0 * x - 3.0)
-
-
-def phi3(x: float) -> float:
-    """Edge generator of chi~, supported on (0, 1)."""
-    return _K_NORM * bump(2.0 * x - 1.0)
+def _slope(v: float, falling: bool) -> float:
+    # d/dx of the cut (v, falling)'s factor, v = 2 x + c: the squared edge
+    # generator (_K_NORM bump(v))^2, negated as 0.0 - s so a zero stays +0.0
+    s = (_K_NORM * bump(v)) ** 2
+    return 0.0 - s if falling else s
 
 
 def cutoff_chi(x: float) -> float:
@@ -404,14 +393,6 @@ def cutoff_chi_tilde(x: float) -> float:
 
     Test reference: tests/test_energy.py::TestCutoffs."""
     return _cutoffs([(2.0 * x - 1.0, False)])[0]
-
-
-def cutoff_chi_prime(x: float) -> float:
-    return phi1(x) ** 2 - phi2(x) ** 2
-
-
-def cutoff_chi_tilde_prime(x: float) -> float:
-    return phi3(x) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +518,12 @@ def _setup(p: CommutantParams, point, g: SphereMetric) -> tuple:
         _cuts(p, point.tau, xh, sig, yr, yt)
 
 
-def _finish(p: CommutantParams, point, label: str, coords, vals: list):
+def _finish(p: CommutantParams, point, label: str, coords, cuts: list,
+            vals: list):
     # (a, H_p a, label) from _setup's output and the cutoff factors
     if not vals:
         return 0.0, 0.0, label
-    xh, zq, sig, yr, yt = coords
+    xh, zq, sig, _, _ = coords
     tau = point.tau
     lever = math.exp(p.C * xh)
     # off commutant_symbol's support (tau <= tau0 included) a factor is 0
@@ -556,12 +538,11 @@ def _finish(p: CommutantParams, point, label: str, coords, vals: list):
         raise TauUnderflow(f"r^2 tau underflows at r={point.r!r}, tau={tau!r}")
     xh_dot = -(point.xi ** 2 + zq) / (r2 * tau)
     sig_dot = -2.0 * point.xi * sig / r2
-    rates = (cutoff_chi_prime(xh / p.delta) / p.delta * xh_dot,
-             cutoff_chi_tilde_prime(yr) * (2.0 * point.xi + p.alpha * xh_dot),
-             cutoff_chi_tilde_prime(yt)
-             * (-2.0 * (point.t - p.t0) * tau + p.alpha * xh_dot),
+    rates = (_slope(*cuts[0]) / p.delta * xh_dot,
+             _slope(*cuts[1]) * (2.0 * point.xi + p.alpha * xh_dot),
+             _slope(*cuts[2]) * (-2.0 * (point.t - p.t0) * tau + p.alpha * xh_dot),
              0.0,
-             cutoff_chi_prime(sig / p.delta) / p.delta * sig_dot)
+             _slope(*cuts[4]) / p.delta * sig_dot)
     if len(zeros) == 1:
         j = zeros[0]
         return a, _finite(lever * rates[j] * math.prod(vals[:j] + vals[j + 1:]),
@@ -592,7 +573,7 @@ def _evaluate(p: CommutantParams, points: list, g: SphereMetric) -> list:
     operations of each; the cutoffs of all points take one _cutoffs call."""
     heads = [_setup(p, pt, g) for pt in points]
     vals = iter(_cutoffs([cut for *_, cuts in heads for cut in cuts]))
-    return [_finish(p, pt, label, coords, [next(vals) for _ in cuts])
+    return [_finish(p, pt, label, coords, cuts, [next(vals) for _ in cuts])
             for pt, (label, coords, cuts) in zip(points, heads)]
 
 

@@ -7,9 +7,9 @@ integrand is evaluated on composite panels of quadrature.gauss_legendre(8),
 short enough to resolve the fastest Bessel oscillation requested, and the
 order-nu Bessel factor is a table J_nu(lam_i node_j) built by bessel_j_array in
 row blocks of about 2^15 elements. One slot, keyed on the order, the
-wavenumbers' bytes and r_max (which fix the nodes), keeps the newest table for
-the next transform alone (with the cubic basis from the field's grid to the
-nodes); at 320 points on r_max = 12 it is 320 x 1152 doubles.
+wavenumbers' bytes, r_max (which fix the nodes) and the field's grid bytes,
+keeps the newest table and the grid's cubic basis for the next transform
+alone; at 320 points on r_max = 12 the table is 320 x 1152 doubles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ MIN_OPERATOR_POINTS = 16
 MIN_TRANSFORM_POINTS = 4   # samples of one local cubic window
 GRADING_GAMMA = 6.26       # first point ~1e-4*r_max, step ratio ~1.05 at n=120
 _TABLE_BLOCK = 1 << 15     # Bessel table elements per bessel_j_array call
-_table_slot: dict = {}     # (order, wavenumber bytes, r_max) -> table, basis
+_table_slot: dict = {}     # (order, wavenumber bytes, r_max, grid bytes) -> table
 
 
 class HankelError(Exception):
@@ -135,8 +135,8 @@ def _bessel_table(nu: float, lam: np.ndarray, r_max: float, xs: np.ndarray):
     table built _TABLE_BLOCK elements at a time. A hit empties the slot, so
     a pair of transforms (involution, eigen check) builds one table and
     holds none after: a table held past it splits the heap hole a later
-    10 MB FD solve needs. A hit on the same grid points reuses the basis."""
-    key, grid = (nu, lam.tobytes(), r_max), xs.tobytes()
+    10 MB FD solve needs."""
+    key = (nu, lam.tobytes(), r_max, xs.tobytes())
     held = _table_slot.pop(key, None)
     if held is None:
         _table_slot.clear()
@@ -145,11 +145,8 @@ def _bessel_table(nu: float, lam: np.ndarray, r_max: float, xs: np.ndarray):
         rows = max(1, _TABLE_BLOCK // len(nodes))
         for i in range(0, len(lam), rows):
             table[i:i + rows] = bessel_j_array(nu, lam[i:i + rows, None] * nodes)
-        held = _table_slot[key] = nodes, weights, table, grid, _cubic_basis(xs, nodes)
-    nodes, weights, table, held_grid, basis = held
-    if held_grid != grid:
-        basis = _cubic_basis(xs, nodes)
-    return nodes, weights, table, basis
+        held = _table_slot[key] = nodes, weights, table, _cubic_basis(xs, nodes)
+    return held
 
 
 def hankel_transform(field: RadialField, order, out_grid: RadialGrid) -> RadialField:

@@ -68,8 +68,6 @@ class ModeField:
     times: np.ndarray
     slices: np.ndarray          # shape (len(times), len(r))
     energies: np.ndarray        # aligned with times[1:] stored instants
-    config: FDConfig
-    r0: float
 
     def __post_init__(self):
         for a in (self.r, self.times, self.slices, self.energies):
@@ -201,7 +199,7 @@ def _leapfrog(cfg: FDConfig, r0: float) -> ModeField:
         energies.append(0.5 * float(np.sum(dens * r) * cfg.dr))
 
     return ModeField(r=r, times=np.array(times), slices=slices,
-                     energies=np.array(energies), config=cfg, r0=r0)
+                     energies=np.array(energies))
 
 
 def mollified_kernel(m: ModeParams, p: KernelPoint, sigma: float,

@@ -146,6 +146,8 @@ def gauss_legendre(n: int):
     Newton's method on P_n from Tricomi's guesses (Hale and Townsend, SIAM J. Sci. Comput.
     2013), carrying P_j - P_{j-1} in y = 1 - x for accuracy next to x = 1; O(n) memory.
     """
+    if n < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs n >= 1 nodes: got {n!r}")
     k = np.arange(1, (n + 1) // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
     for _ in range(20):

@@ -266,6 +266,13 @@ class TestOracleCompare:
         assert code == EXIT_CHECK
         assert "exceeds tol" in err
 
+    @pytest.mark.parametrize("spec", ["a:1.2", "0.7:nan", "0.7:inf",
+                                      "0:1.2", "0.7:1.2:3"])
+    def test_bad_sample_point_is_a_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "oracle-compare", "--points", spec)
+        assert code == EXIT_USAGE
+        assert "usage" in err and out == ""
+
     def test_field_dump(self, capsys, tmp_path):
         slab_path = tmp_path / "slab.csv"
         code, _, _ = run_cli(capsys, "oracle-compare", "--dump-field",

@@ -112,15 +112,26 @@ class TestCutoffs:
         h = 5e-7
         for x in (-1.9, -1.5, -1.1, -0.5, 0.7, 1.2, 1.5, 1.9):
             fd = (en.cutoff_chi(x + h) - en.cutoff_chi(x - h)) / (2 * h)
-            assert abs(fd - en.cutoff_chi_prime(x)) < 1e-8
+            assert abs(fd - en._slope(*en._chi_cut(x))) < 1e-8
         for x in (0.1, 0.35, 0.5, 0.8, 0.95):
             fd = (en.cutoff_chi_tilde(x + h) - en.cutoff_chi_tilde(x - h)) / (2 * h)
-            assert abs(fd - en.cutoff_chi_tilde_prime(x)) < 1e-8
+            assert abs(fd - en._slope(2.0 * x - 1.0, False)) < 1e-8
 
-    def test_edge_generators_are_squares_of_declared_bumps(self):
-        for x in (-1.7, 1.3, 0.4):
-            assert en.cutoff_chi_prime(x) == en.phi1(x) ** 2 - en.phi2(x) ** 2
-            assert en.cutoff_chi_tilde_prime(x) == en.phi3(x) ** 2
+    def test_slope_is_the_squared_edge_generators_bit_for_bit(self):
+        # chi' = phi1^2 - phi2^2 and chi~' = phi3^2, with the generators
+        # phi1, phi2, phi3 = _K_NORM bump(2 x + 3), bump(2 x - 3), bump(2 x - 1)
+        def gen(v):
+            return en._K_NORM * en.bump(v)
+
+        edges = [e for x in (-2.0, -1.0, 0.0, 1.0, 2.0)
+                 for e in (math.nextafter(x, -3.0), x, math.nextafter(x, 3.0))]
+        grid = [-0.0, 0.0, -1.5, 1.5, 0.5, *edges,
+                *np.linspace(-2.5, 2.5, 1001).tolist()]
+        for x in grid:
+            chi = gen(2.0 * x + 3.0) ** 2 - gen(2.0 * x - 3.0) ** 2
+            tilde = gen(2.0 * x - 1.0) ** 2
+            assert en._slope(*en._chi_cut(x)).hex() == chi.hex(), x
+            assert en._slope(2.0 * x - 1.0, False).hex() == tilde.hex(), x
 
     @given(st.floats(min_value=-4.0, max_value=4.0))
     def test_chi_stays_in_unit_interval(self, x):
@@ -150,13 +161,13 @@ class TestTestFunctionValidation:
             en.TestFunction(r=good, phi=phi, u=bad, du_r=u, du_phi=u)
 
     def test_rejects_foreign_angular_nodes(self):
+        # an empty grid has no rule: it once reached hardy_check's gauss_legendre(0)
         r = np.linspace(0.1, 1.0, 64)
-        phi = np.linspace(0.1, math.pi - 0.1, 8)
-        u = np.exp(-((r[:, None] - 0.5) / 0.1) ** 2) * np.ones((1, 8))
-        tf = en.TestFunction(r=r, phi=phi, u=u, du_r=np.zeros_like(u),
-                             du_phi=np.zeros_like(u))
-        with pytest.raises(ValueError, match="polar_quadrature"):
-            en.hardy_check(tf, 3)
+        for phi in (np.linspace(0.1, math.pi - 0.1, 8), np.array([])):
+            u = np.exp(-((r[:, None] - 0.5) / 0.1) ** 2) * np.ones((1, phi.size))
+            with pytest.raises(ValueError, match="polar_quadrature"):
+                en.TestFunction(r=r, phi=phi, u=u, du_r=np.zeros_like(u),
+                                du_phi=np.zeros_like(u))
 
 
 class TestHardy:
@@ -310,7 +321,7 @@ class TestNormEquivalence:
 
         monkeypatch.setattr(en, "sphere_min_eigenvalue", counted)
         tf = en.random_suite(3, count=1)[0]
-        assert en._support_radii(tf, 3).size > 1
+        assert en._support_radii(tf, en._weights_for(tf, 3)).size > 1
         en.norm_equivalence_check(tf, en.constant_potential(1.0), 3)
         assert len(calls) == 1
 
@@ -323,7 +334,7 @@ class TestNormEquivalence:
             func=lambda r, phi: 1.0 / (1.0 + r) + 0.0 * phi,
             sup_bound=1.0, lower_bound=0.0)
         tf = en.random_suite(n, count=1)[0]
-        radii = en._support_radii(tf, n)
+        radii = en._support_radii(tf, en._weights_for(tf, n))
         nodes = en.sphere_polar_nodes()
         per_radius = [en.sphere_min_eigenvalue(fpot.func(r, nodes), n)
                       + 0.25 for r in radii]

@@ -138,10 +138,10 @@ def test_table_slot_never_serves_stale_values():
         assert again.tobytes() == first[k].tobytes(), k
 
 
-def test_hit_on_another_grid_rebuilds_the_basis(monkeypatch):
-    # same order, wavenumbers and r_max: the second transform takes the
-    # held table, but its field lies on other radii, so the cubic basis is
-    # built anew and the values are those of a cold transform
+def test_another_grid_misses_the_slot(monkeypatch):
+    # same order, wavenumbers and r_max, but the second field lies on other
+    # radii: the grid is part of the slot key, so the second transform
+    # builds its own table and basis and gives the bits of a cold transform
     out = RadialGrid(np.linspace(0.1, 4.0, 30), 4.0)
     grids = [graded_grid(R_MAX, 80), graded_grid(R_MAX, 96)]
     fields = [RadialField(g, g.points * np.exp(-g.points ** 2 / 2))
@@ -158,7 +158,7 @@ def test_hit_on_another_grid_rebuilds_the_basis(monkeypatch):
     hankel_transform(fields[0], 1.5, out)
     again = hankel_transform(fields[1], 1.5, out).values
     assert builds == [80, 96]
-    assert not hankel._table_slot
+    assert len(hankel._table_slot) == 1
     assert again.tobytes() == cold[1].tobytes()
 
 

@@ -162,6 +162,13 @@ def test_ladder_rules_exact_on_even_monomials():
             assert abs(w @ x ** (2 * k) - 2.0 / (2 * k + 1)) < 1e-14, (n, k)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_rule_without_nodes_is_refused(n):
+    # n = 0 once raised ZeroDivisionError from the Tricomi guesses
+    with pytest.raises(ValueError, match="n >= 1"):
+        gauss_legendre(n)
+
+
 def test_largest_rule_weights_against_mpmath():
     # the largest ladder rule, and hankel's 8 and energy's 64 points
     for n in (8, 64, 1024):

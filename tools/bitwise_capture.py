@@ -13,7 +13,8 @@ directory. The JSON printed holds
     samples       digests of sample_states on the circle and the sphere, at
                   counts 1, 8, 2048 and 3000 from index 18 and at counts 8
                   and 2048 from index 2**62 + 1
-    audits        per alpha of the tests' AUDIT_ALPHAS: a digest of the
+    audits        per alpha of the tests' AUDIT_ALPHAS, at the default
+                  (C, delta) and at each of AUDIT_SHAPES: a digest of the
                   AuditScan stream (state, H_p a, label, audited) on both
                   charts, and sign_audit's scanned, kept, max and counts
     dual_route    digests of the analytic and fd Hamilton derivatives, as
@@ -77,6 +78,7 @@ from pathlib import Path
 import numpy as np
 
 AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
+AUDIT_SHAPES = tuple((C, delta) for C in (0.5, 3.0) for delta in (0.1, 0.45))
 DUAL_ALPHAS = (1.0, 4.0, 13.0)
 ENVELOPE_RADII = (0.5, 1e-3, 1e-6, 1e-150)
 SAMPLE_RUNS = ((17, 1), (17, 8), (17, 2048), (17, 3000), (2 ** 62, 8),
@@ -154,24 +156,29 @@ def samples(geo, en) -> dict:
 
 def audits(geo, en) -> dict:
     out = {}
-    for alpha in AUDIT_ALPHAS:
-        p = en.CommutantParams(alpha=alpha)
-        entry = {}
-        for name, g in (("circle", geo.circle()),
-                        ("sphere", geo.sphere_chart())):
-            scan = en.AuditScan(p, g)
-            rows = (_state_row(st) + (float(v).hex(), label, audited)
-                    for st, v, label, audited in scan.scan(0, STREAM))
-            entry[f"stream/{name}"] = {
-                **_digest(rows), "kept": scan.kept,
-                "max": float(scan.max_value).hex(),
-                "counts": dict(sorted(scan.counts.items()))}
-        res = en.sign_audit(p, min_kept=1500)
-        entry["sign_audit"] = {"scanned": res.scanned, "kept": res.kept,
-                               "max": res.max_value.hex(),
-                               "counts": dict(sorted(res.counts.items()))}
-        out[repr(alpha)] = entry
+    default = en.CommutantParams()
+    for C, delta in ((default.C, default.delta),) + AUDIT_SHAPES:
+        for alpha in AUDIT_ALPHAS:
+            p = en.CommutantParams(C=C, delta=delta, alpha=alpha)
+            out[f"C={C!r}/delta={delta!r}/alpha={alpha!r}"] = _audit(en, geo, p)
     return out
+
+
+def _audit(en, geo, p) -> dict:
+    entry = {}
+    for name, g in (("circle", geo.circle()), ("sphere", geo.sphere_chart())):
+        scan = en.AuditScan(p, g)
+        rows = (_state_row(st) + (float(v).hex(), label, audited)
+                for st, v, label, audited in scan.scan(0, STREAM))
+        entry[f"stream/{name}"] = {
+            **_digest(rows), "kept": scan.kept,
+            "max": float(scan.max_value).hex(),
+            "counts": dict(sorted(scan.counts.items()))}
+    res = en.sign_audit(p, min_kept=1500)
+    entry["sign_audit"] = {"scanned": res.scanned, "kept": res.kept,
+                           "max": res.max_value.hex(),
+                           "counts": dict(sorted(res.counts.items()))}
+    return entry
 
 
 def _both_routes(en, p, st, g) -> list:
