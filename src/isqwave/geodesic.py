@@ -10,14 +10,17 @@ exist to demonstrate.
 
 Both systems are one field, `_field`, on a packed state: the flat list of
 floats [t, r, *theta, tau, xi, *zeta]. `integrate_flow` runs RK4 on that
-list, checked finite after every step, and records a sample as a `FlowState`
+list, checked finite at every stage, and records a sample as a `FlowState`
 built unchecked; `hamilton_rhs` and `rescaled_rhs` wrap the field for single
 states. A chart (`SphereMetric`) hands the field its metric terms as plain
-floats, each rounded as numpy's matrix form rounds it.
+floats, each rounded as numpy's matrix form rounds it: the sphere's two-term
+dot is exact float arithmetic where BLAS fuses it, and np.dot where not. A
+finite state whose squares overflow raises `StateOverflow`, not OverflowError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -40,6 +43,25 @@ class OriginSingularity(GeodesicError):
 
 class StepUnderflow(GeodesicError):
     pass
+
+
+class StateOverflow(StepUnderflow, OverflowError):
+    """A square of a finite state overflowed. An OverflowError too, as
+    Python's float ** raised it, so callers that type overflow still see it."""
+
+
+def _typed_overflow(fn):
+    # Python's float ** raises OverflowError on finite huge states; an inner
+    # call's StateOverflow passes as it is
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except StateOverflow:
+            raise
+        except OverflowError as exc:
+            raise StateOverflow(f"{fn.__name__}: {exc}: flow state must be finite") from exc
+    return checked
 
 
 class OriginReached(GeodesicError):
@@ -84,6 +106,7 @@ class SphereMetric:
     over l of (d_theta_l k^{ij}) zeta_i zeta_j. Each rounds, signed zeros
     included, as numpy's k_inv @ zeta, zeta @ (k_inv @ zeta) and
     einsum("lij,i,j->l", dk_inv, zeta, zeta) on the inverse-metric arrays.
+    The sphere chart's dot is plain floats where this process's BLAS fuses it.
     """
     dim: int
     terms: Callable[[tuple, tuple], tuple]
@@ -101,6 +124,28 @@ def circle() -> SphereMetric:
     return SphereMetric(dim=1, terms=terms, name="circle")
 
 
+# A BLAS that fuses rounds the two-term dot z0 k0 + z1 k1 as fma(z1, k1, z0 k0):
+# this pair's exact dot, -2^-60, is what that gives, where the plain sum gives 0
+_DOT_FUSES = float(np.dot((1.0, 1.0 + 2.0 ** -30), (-1.0, 1.0 - 2.0 ** -30))) == -2.0 ** -60
+_SPLIT = 134217729.0        # 2^27 + 1, Veltkamp's splitter
+
+
+def _fused_dot(z: tuple, k: tuple) -> float:
+    """float(np.dot(z, k)) for two-term tuples, without numpy where BLAS fuses:
+    Dekker's split of z1 k1 into p + e is exact while |z1|, |k1| lie in
+    (1e-140, 1e140), and fsum rounds the exact sum z0 k0 + p + e once, which
+    cannot overflow while |z0 k0| < 1e300 (inf and nan go to np.dot)."""
+    (z0, z1), (k0, k1) = z, k
+    p0 = z0 * k0
+    if _DOT_FUSES and abs(p0) < 1e300 and 1e-140 < abs(z1) < 1e140 \
+            and 1e-140 < abs(k1) < 1e140:
+        p, a, b = z1 * k1, _SPLIT * z1, _SPLIT * k1
+        ah, bh = a - (a - z1), b - (b - k1)
+        al, bl = z1 - ah, k1 - bh
+        return math.fsum((p0, p, ((ah * bh - p) + ah * bl + al * bh) + al * bl))
+    return float(np.dot(z, k))
+
+
 def sphere_chart() -> SphereMetric:
     """Round S^2 in polar angles (phi, psi), valid away from the poles;
     k = diag(1, 1/sin^2 phi), whose one angle derivative is d_phi k^{psi psi}."""
@@ -109,11 +154,8 @@ def sphere_chart() -> SphereMetric:
         z0, z1 = z      # ValueError for a zeta of another dimension
         s = math.sin(th[0])
         kz = (z0 + 0.0, 1.0 / (s * s) * z1 + 0.0)
-        # BLAS rounds this two-term dot as fma(z1, kz1, z0 z0), which the
-        # plain float sum does not reproduce; Python 3.11 has no math.fma
-        zkz = float(np.dot(z, kz))
         dk = -2.0 * math.cos(th[0]) / s ** 3 * z1 * z1
-        return kz, zkz, (dk + 0.0, 0.0)
+        return kz, _fused_dot(z, kz), (dk + 0.0, 0.0)
 
     return SphereMetric(dim=2, terms=terms, name="sphere")
 
@@ -122,6 +164,7 @@ def zeta_norm_sq(state: FlowState, g: SphereMetric) -> float:
     return g.terms(state.theta, state.zeta)[1]
 
 
+@_typed_overflow
 def characteristic_value(state: FlowState, g: SphereMetric) -> float:
     """sigma = tau^2 - (xi^2 + |zeta|_k^2)/r^2, conserved by the singular flow."""
     return state.tau ** 2 - (state.xi ** 2 + zeta_norm_sq(state, g)) / state.r ** 2
@@ -152,6 +195,7 @@ def _unpack(y: list, d: int) -> tuple:
     return y[0], y[1], tuple(y[2:2 + d]), y[2 + d], y[3 + d], tuple(y[4 + d:])
 
 
+@_typed_overflow
 def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     """Singular-system derivative: t' = tau, r' = -xi/r,
     theta' = k zeta/(2 r^2), tau' = 0, xi' = -(xi^2 + |zeta|^2)/r^2,
@@ -167,6 +211,7 @@ def hamilton_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     return FlowState(*_unpack(_field(_pack(state), g, d, True), d))
 
 
+@_typed_overflow
 def rescaled_rhs(state: FlowState, g: SphereMetric) -> FlowState:
     """The singular field multiplied by r^2, smooth across r = 0:
     t' = r^2 tau, r' = -r xi, theta' = k zeta/2, tau' = 0,
@@ -185,18 +230,7 @@ class Trajectory:
     sigma_values: np.ndarray    # conserved-quantity log (singular-system sigma)
 
 
-def _rk4(stage, y: list, k1: list, h: float) -> list:
-    """One RK4 step of size h from y, whose derivative k1 is known; stage
-    returns the derivative at each later stage point."""
-    hh = 0.5 * h
-    k2 = stage([a + hh * b for a, b in zip(y, k1)])
-    k3 = stage([a + hh * b for a, b in zip(y, k2)])
-    k4 = stage([a + h * b for a, b in zip(y, k3)])
-    h6 = h / 6.0
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
+@_typed_overflow
 def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
                    system: str = "full") -> Trajectory:
     """Fixed-grid RK4 trace of either system over [0, s_span].
@@ -207,7 +241,8 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
     Raises OriginReached once r drops below 1e-6 while still moving inward
     on the singular system, with the partial trajectory attached;
     StepUnderflow if halving cannot tame the local rate within the substep
-    budget, or if a stage state or its derivative is not finite.
+    budget, or if a stage state or its derivative is not finite (a
+    StateOverflow where a square of a finite one overflows).
     """
     if system not in ("full", "rescaled"):
         raise ValueError(f"unknown system {system!r}")
@@ -217,19 +252,18 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
     if len(s0.theta) != d:
         raise ValueError(f"state has {len(s0.theta)} angles, metric {d}")
     singular = system == "full"
-    y = [float(v) for v in _pack(s0)]
-    s = 0.0
-    states = [s0]
-    ss = [0.0]
-    sigmas = [characteristic_value(s0, g)]
+    y, s = [float(v) for v in _pack(s0)], 0.0
+    states, ss, sigmas = [s0], [0.0], [characteristic_value(s0, g)]
 
-    def record(state):
+    def record():
+        # the state y at s, its sigma as characteristic_value forms it
         if s <= ss[-1]:
             return
-        states.append(state)
+        st = FlowState._make(_unpack(y, d))
+        states.append(st)
         ss.append(s)
-        sigmas.append(characteristic_value(state, g) if state.r > R_FLOOR
-                      else float("nan"))
+        sigmas.append(st.tau ** 2 - (st.xi ** 2 + g.terms(st.theta, st.zeta)[1])
+                      / st.r ** 2 if st.r > R_FLOOR else float("nan"))
 
     def finish(reason=None):
         traj = Trajectory(states=tuple(states), s_values=np.array(ss),
@@ -239,10 +273,11 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
         return traj
 
     def stage(y_stage):
-        # the field is only evaluated at, and only yields, finite states
-        if all(map(math.isfinite, y_stage)):
+        # the field is only evaluated at, and only yields, finite states; a float
+        # sum is finite only if every term is (one that overflows: term by term)
+        if math.isfinite(sum(y_stage)) or all(map(math.isfinite, y_stage)):
             v = _field(y_stage, g, d, singular)
-            if all(map(math.isfinite, v)):
+            if math.isfinite(sum(v)) or all(map(math.isfinite, v)):
                 return v
         raise StepUnderflow(f"flow diverged at s={s:.6g} (finite-parameter "
                             f"blow-up): flow state must be finite")
@@ -255,7 +290,7 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
             while s < target - 1e-15 * s_span:
                 r, xi = y[1], y[3 + d]
                 if singular and r < ORIGIN_RADIUS and xi > 0:
-                    record(FlowState._make(_unpack(y, d)))
+                    record()
                     return finish(f"r={r:.3e} below origin threshold")
                 k1 = stage(y)
                 h = target - s
@@ -268,12 +303,18 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
                 if h <= 0 or substeps >= _MAX_SUBSTEPS:
                     raise StepUnderflow(
                         f"needed more than {_MAX_SUBSTEPS} substeps at s={s:.6g}")
-                y = _rk4(stage, y, k1, h)
-                if not all(map(math.isfinite, y)):
+                hh = 0.5 * h
+                k2 = stage([a + hh * b for a, b in zip(y, k1)])
+                k3 = stage([a + hh * b for a, b in zip(y, k2)])
+                k4 = stage([a + h * b for a, b in zip(y, k3)])
+                h6 = h / 6.0
+                y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                if not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
                     raise StepUnderflow(f"flow diverged at s={s:.6g}")
                 s += h
                 substeps += 1
-            record(FlowState._make(_unpack(y, d)))
+            record()
     return finish()
 
 
@@ -285,7 +326,8 @@ def trace_through_origin(s0: FlowState, g: SphereMetric, s_span: float,
     When the inbound leg stops at r_stop, the flow covers the remaining
     2 r_stop / tau of parameter in the gap (radial speed is tau on a
     characteristic striking flow), so the outbound leg restarts at the
-    mirrored state (r_stop, -xi) with s and t advanced accordingly.
+    mirrored state (r_stop, -xi) with s and t advanced accordingly. Raises
+    StepUnderflow where integrate_flow does.
     """
     if any(abs(z) > 1e-12 for z in s0.zeta):
         raise ValueError("origin passage requires zero angular momentum")
@@ -328,6 +370,7 @@ def trace_through_origin(s0: FlowState, g: SphereMetric, s_span: float,
                       sigma_values=np.array(sigmas))
 
 
+@_typed_overflow
 def sec_envelope_bound(state: FlowState, g: SphereMetric) -> float:
     """Lower bound for r along the rescaled flow with nonzero angular
     momentum: the secant closed form has amplitude

@@ -180,6 +180,7 @@ def _leapfrog(cfg: FDConfig, r0: float) -> ModeField:
     u, lap = np.zeros((3, n + 1)), np.zeros(n)       # u[:, n]: the wall's ghost
     np.add(dt * phi[:n], (dt ** 3 / 6.0) * window([phi], 0, n, lap)(0), out=u[1, :n])
     times, energies = [0.0], []
+    dens, grad = np.zeros(n), np.zeros(n)           # zero off each energy window
 
     # u[s % 3] holds step s, and u[s + 1] = 2 u[s] - u[s - 1] + dt^2 lap(u[s])
     # to s = nt, each block on its last step's reach: ops on +0.0 give +0.0.
@@ -194,9 +195,21 @@ def _leapfrog(cfg: FDConfig, r0: float) -> ModeField:
             np.add(w[x], np.multiply(dt_sq, laplacian(c), lap_w), w[x])
         slices[len(times)] = now = u[c, :n]
         times.append(end * dt)
-        dens = (((u[x, :n] - u[p, :n]) / (2.0 * dt)) ** 2
-                + np.gradient(now, cfg.dr) ** 2 + (cfg.nu * now / r) ** 2)
-        energies.append(0.5 * float(np.sum(dens * r) * cfg.dr))
+        # density times r, as np.gradient's full rows give it, on the window and the
+        # cell past each end the gradient reaches; windows only grow, so the rest is +0.0
+        i, j = max(a - 1, 0), min(b + 1, n)
+        e, g, k, m = dens[i:j], grad[i:j], max(i, 1), min(j, n - 1)
+        np.square(np.divide(np.subtract(u[x, i:j], u[p, i:j], e), 2.0 * dt, e), e)
+        np.divide(np.subtract(now[k + 1:m + 1], now[k - 1:m - 1], grad[k:m]),
+                  2.0 * cfg.dr, grad[k:m])
+        if i == 0:
+            grad[0] = (now[1] - now[0]) / cfg.dr
+        if j == n:
+            grad[-1] = (now[-1] - now[-2]) / cfg.dr
+        np.add(e, np.square(g, g), e)
+        np.add(e, np.square(np.divide(np.multiply(now[i:j], cfg.nu, g), r[i:j], g), g), e)
+        np.multiply(e, r[i:j], e)
+        energies.append(0.5 * float(np.sum(dens) * cfg.dr))
 
     return ModeField(r=r, times=np.array(times), slices=slices,
                      energies=np.array(energies))

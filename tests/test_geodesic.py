@@ -8,6 +8,7 @@ cyclic momenta) are checked against drift at fixed step.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from isqwave import geodesic
 from isqwave.geodesic import (
     ORIGIN_RADIUS,
     FlowState,
+    GeodesicError,
     OriginReached,
     OriginSingularity,
     StepUnderflow,
@@ -610,3 +612,126 @@ class TestPinnedBits:
             "0x1.0000000000000p+0", "-0x1.8000000000001p-1", "0x0.0p+0"]
         assert float(traj.s_values[-1]).hex() == "0x1.8000000000000p+0"
         assert min(st.r for st in traj.states).hex() == "0x1.47ae147ae1440p-21"
+
+
+HUGE = 1e200                # finite, but its square overflows a double
+
+
+class TestTypedOverflow:
+    """Python's float ** raises OverflowError on finite huge states; each
+    entry point raises a typed error instead."""
+
+    @pytest.mark.parametrize("s0, system", [
+        (FlowState(t=0.0, r=HUGE, theta=(0.0,), tau=1.0, xi=0.0, zeta=(1.0,)),
+         "rescaled"),
+        (FlowState(t=0.0, r=1.0, theta=(0.0,), tau=1.0, xi=HUGE, zeta=(1.0,)),
+         "full"),
+    ], ids=["rescaled-r", "full-xi"])
+    def test_integrate_flow(self, s0, system):
+        with pytest.raises(StepUnderflow, match="flow state must be finite"):
+            integrate_flow(s0, circle(), 1.0, 0.1, system)
+
+    def test_trace_through_origin(self):
+        s0 = radial_state(r=0.75, xi=HUGE)
+        with pytest.raises(StepUnderflow, match="flow state must be finite"):
+            trace_through_origin(s0, circle(), 1.5, 1e-2)
+
+    @pytest.mark.parametrize("rhs", [hamilton_rhs, rescaled_rhs])
+    def test_right_hand_sides(self, rhs):
+        with pytest.raises(GeodesicError):
+            rhs(radial_state(r=1.0, xi=HUGE), circle())
+
+    @pytest.mark.parametrize("r, xi", [(HUGE, 0.5), (1.0, HUGE)])
+    def test_characteristic_value(self, r, xi):
+        with pytest.raises(GeodesicError):
+            characteristic_value(radial_state(r=r, xi=xi), circle())
+
+    def test_sec_envelope_bound(self):
+        s = FlowState(t=0.0, r=1.0, theta=(0.0,), tau=1.0, xi=HUGE,
+                      zeta=(1.0,))
+        with pytest.raises(GeodesicError):
+            sec_envelope_bound(s, circle())
+
+
+# two-term dots where the plain-float path must hand over to np.dot, or
+# where its split and sum are exact only just
+_EDGE = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-150,
+         -1e-150, 1e150, 1e-300, -1e300, 1e-140, 1e140, 1.7976931348623157e308,
+         math.inf, -math.inf, math.nan, 1.0, -0.7, 3.0)
+
+
+def _dot_draws():
+    rng = random.Random(20091)
+    draws = [(z, k) for z in ((0.4, 0.7), (-1.3, 2.1)) for k in
+             [(a, b) for a in _EDGE for b in _EDGE]]
+    draws += [((a, b), (c, e)) for a, b, c, e in
+              (rng.sample(_EDGE, 4) for _ in range(4000))]
+    for _ in range(20000):
+        # the sphere chart's own pairs, and pairs across the whole exponent range
+        phi, z0, z1 = rng.uniform(0.05, 3.09), rng.uniform(-3, 3), rng.uniform(-3, 3)
+        s = math.sin(phi)
+        draws.append(((z0, z1), (z0 + 0.0, 1.0 / (s * s) * z1 + 0.0)))
+        draws.append(tuple(tuple(rng.choice((-1.0, 1.0)) * rng.random()
+                                 * 10.0 ** rng.randint(-160, 160)
+                                 for _ in range(2)) for _ in range(2)))
+    return draws
+
+
+class TestFusedDot:
+    @pytest.mark.parametrize("fuses", [True, False])
+    def test_is_numpys_dot_bit_for_bit(self, monkeypatch, fuses):
+        # where this process's BLAS does not fuse, or is made to look so,
+        # every pair goes to np.dot; either way the rounding is numpy's
+        monkeypatch.setattr(geodesic, "_DOT_FUSES", geodesic._DOT_FUSES and fuses)
+        with np.errstate(all="ignore"):
+            for z, k in _dot_draws():
+                assert geodesic._fused_dot(z, k).hex() == \
+                    float(np.dot(z, k)).hex(), (z, k)
+
+    def test_skips_numpy_inside_the_exact_range(self, monkeypatch):
+        if not geodesic._DOT_FUSES:
+            pytest.skip("this BLAS does not fuse the two-term dot")
+
+        def refused(*args):
+            raise AssertionError("np.dot called")
+
+        monkeypatch.setattr(geodesic.np, "dot", refused)
+        for phi, z0, z1 in FMA_STATES:
+            sphere_chart().terms((phi, 0.0), (z0, z1))
+
+
+class TestStageChecks:
+    def test_finite_coordinates_whose_sum_overflows(self):
+        # t and theta enter no circle field: the flow must run as from
+        # t = theta = 0, though the float sum of its state is inf
+        g, base = circle(), PINNED_STARTS["circle"]
+        far = base._replace(t=1.5e308, theta=(1.5e308,))
+        for system in ("full", "rescaled"):
+            ref = integrate_flow(base, g, 0.2, 1e-2, system)
+            got = integrate_flow(far, g, 0.2, 1e-2, system)
+            assert all(st.t == 1.5e308 and st.theta == (1.5e308,)
+                       for st in got.states)
+            assert [_bits((st.r, st.tau, st.xi, *st.zeta)) for st in got.states] \
+                == [_bits((st.r, st.tau, st.xi, *st.zeta)) for st in ref.states]
+            assert got.sigma_values.tobytes() == ref.sigma_values.tobytes()
+            assert got.s_values.tobytes() == ref.s_values.tobytes()
+
+    @pytest.mark.parametrize("bad", [(math.nan,), (math.inf, -math.inf)])
+    def test_non_finite_stage_is_step_underflow(self, bad):
+        # a chart whose curvature term turns non-finite once theta passes 0.5
+        def terms(th, z):
+            dk = bad if th[0] > 0.5 else (0.0,) * len(bad)
+            return (z[0] + 0.0,), z[0] * z[0], dk
+
+        g = geodesic.SphereMetric(dim=len(bad), terms=terms, name="bad")
+        s0 = FlowState(t=0.0, r=1.0, theta=(0.0,) * len(bad), tau=1.0,
+                       xi=0.0, zeta=(1.0,) * len(bad))
+        with pytest.raises(StepUnderflow, match=r"^flow diverged at s=[\d.]+ "
+                           r"\(finite-parameter blow-up\): flow state must be "
+                           r"finite$"):
+            integrate_flow(s0, g, 2.0, 1e-2, "rescaled")
+
+    def test_non_finite_start_is_step_underflow(self):
+        s0 = FlowState._make((0.0, 1.0, (0.0,), 1.0, math.nan, (0.5,)))
+        with pytest.raises(StepUnderflow, match=r"^flow diverged at s=0 "):
+            integrate_flow(s0, circle(), 0.1, 1e-2, "full")

@@ -8,6 +8,10 @@ TREE is the root of an isqwave checkout (default: the one this file sits
 in); its src/ is imported first and its CLI runs with TREE as the working
 directory. The JSON printed holds
 
+    machine       e2e_times.machine(): the CPU, Python and numpy, numpy's
+                  SIMD dispatch, the C library and whether np.dot fuses the
+                  two-term dot; captures whose machines differ are not
+                  compared bit for bit
     flows         float.hex digests of integrate_flow on both charts and
                   both systems, and of one trace_through_origin
     samples       digests of sample_states on the circle and the sphere, at
@@ -76,6 +80,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from e2e_times import machine
 
 AUDIT_ALPHAS = (1.0, 2.0, 2.487, 4.0, 13.0)
 AUDIT_SHAPES = tuple((C, delta) for C in (0.5, 3.0) for delta in (0.1, 0.45))
@@ -365,7 +371,7 @@ def main(argv: list) -> int:
     from isqwave import energy as en, geodesic as geo, hankel as hk, kernel as ker
     from isqwave import checks as chk, oracle as orc, specfun as sf
 
-    out = {"flows": flows(geo), "samples": samples(geo, en),
+    out = {"machine": machine(), "flows": flows(geo), "samples": samples(geo, en),
            "audits": audits(geo, en), "dual_route": dual_route(geo, en),
            "alpha_star": en.alpha_star().hex(),
            "kernel": kernel_values(ker, orc), "hankel": hankel_values(hk, sf),

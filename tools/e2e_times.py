@@ -1,6 +1,6 @@
 """End-to-end wall times of isqwave: Tier-1, `verify --quick` and `verify`.
 
-Run from anywhere, with the standard library only:
+Run from anywhere, with the standard library and numpy:
 
     python3 tools/e2e_times.py [TREE]
 
@@ -13,9 +13,14 @@ in a row, in a fresh interpreter with TREE as its working directory:
     verify-quick  python -m isqwave.cli verify --quick --reproducible
     verify        python -m isqwave.cli verify --reproducible
 
-The first line printed is the machine; the second is one JSON object with
-each target's runs, their median and every run's exit code (and, for
-Tier-1, pytest's summary line and its ten slowest tests as
+The first line printed is the machine, with what sets a run's bits on it:
+numpy's run-time SIMD dispatch (the `found` list of `np.show_runtime()`),
+the C library whose libm Python's math calls, and whether this process's
+`np.dot` rounds a two-term dot as one fused multiply-add (the probe
+`isqwave.geodesic` makes at import). Runs or captures made where any of
+these differ are not compared bit for bit. The second line is one JSON
+object with each target's runs, their median and every run's exit code
+(and, for Tier-1, pytest's summary line and its ten slowest tests as
 [seconds, phase, test id], per run).
 """
 
@@ -31,6 +36,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPEATS = 3
 TARGETS = {
@@ -52,9 +59,18 @@ def machine() -> dict:
                 break
     except OSError:
         pass
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:         # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    # this pair's exact dot, -2^-60, is what fma(z1, k1, z0 k0) gives
+    fused = np.dot((1.0, 1.0 + 2.0 ** -30), (-1.0, 1.0 - 2.0 ** -30))
     return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": model,
             "python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy")}
+            "numpy": importlib.metadata.version("numpy"),
+            "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+            "libc": " ".join(platform.libc_ver()),
+            "dot_fuses": bool(fused == -2.0 ** -60)}
 
 
 def run(tree: Path, args: list) -> tuple:
