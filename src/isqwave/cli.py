@@ -32,13 +32,14 @@ from .kernel import (KernelPoint, Region, classify_region, cone_sides,
                      extrapolate_to_cone, is_mode_jump_nonzero, mode_kernel_rows,
                      mode_params)
 from .oracle import FDConfig, compare_kernel, solve_mode
-from .specfun import DomainError, bessel_j, gamma, legendre_q_shifted
+from .specfun import DomainError, bessel_j, legendre_q_shifted
 
 DEFAULT_SEED = 0x5EED
 
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
+_GAMMA_X_MAX = 171.62         # Gamma(x) overflows a double just above this
 
 
 class UsageError(Exception):
@@ -211,7 +212,9 @@ def cmd_specfun(cfg: RunConfig, sink: CsvSink) -> int:
     if name == "bessel-j":
         fn = lambda x: bessel_j(order, x)
     elif name == "gamma":
-        fn = lambda x: gamma(x)
+        off = next((float(x) for x in xs if not 0.0 < x <= _GAMMA_X_MAX), None)
+        _require(off is None, f"gamma requires 0 < x <= {_GAMMA_X_MAX}, got {off!r}")
+        fn = math.gamma
         order = 0.0
     elif name == "legendre-q":
         _require(p["arg_min"] > 1.0, "legendre-q needs arguments > 1")

@@ -166,8 +166,16 @@ def zeta_norm_sq(state: FlowState, g: SphereMetric) -> float:
 
 @_typed_overflow
 def characteristic_value(state: FlowState, g: SphereMetric) -> float:
-    """sigma = tau^2 - (xi^2 + |zeta|_k^2)/r^2, conserved by the singular flow."""
-    return state.tau ** 2 - (state.xi ** 2 + zeta_norm_sq(state, g)) / state.r ** 2
+    """sigma = tau^2 - (xi^2 + |zeta|_k^2)/r^2, conserved by the singular flow;
+    OriginSingularity where r^2 is 0 (r below about 1.5e-162). integrate_flow
+    logs it by the same operations, as nan at r <= R_FLOOR.
+
+    Test reference: tests/test_geodesic.py::TestSigmaAtTheOrigin.
+    """
+    r2 = state.r ** 2
+    if r2 == 0.0:
+        raise OriginSingularity(f"r={state.r!r}: r^2 is 0")
+    return state.tau ** 2 - (state.xi ** 2 + zeta_norm_sq(state, g)) / r2
 
 
 def _field(y: list, g: SphereMetric, d: int, singular: bool) -> list:
@@ -227,7 +235,7 @@ def rescaled_rhs(state: FlowState, g: SphereMetric) -> FlowState:
 class Trajectory:
     states: tuple
     s_values: np.ndarray
-    sigma_values: np.ndarray    # conserved-quantity log (singular-system sigma)
+    sigma_values: np.ndarray    # singular-system sigma per state, nan at r <= R_FLOOR
 
 
 @_typed_overflow
@@ -252,18 +260,24 @@ def integrate_flow(s0: FlowState, g: SphereMetric, s_span: float, step: float,
     if len(s0.theta) != d:
         raise ValueError(f"state has {len(s0.theta)} angles, metric {d}")
     singular = system == "full"
+
+    def sigma(st):
+        # characteristic_value's operations, nan where r <= R_FLOOR
+        if st.r <= R_FLOOR:
+            return float("nan")
+        return st.tau ** 2 - (st.xi ** 2 + g.terms(st.theta, st.zeta)[1]) / st.r ** 2
+
     y, s = [float(v) for v in _pack(s0)], 0.0
-    states, ss, sigmas = [s0], [0.0], [characteristic_value(s0, g)]
+    states, ss, sigmas = [s0], [0.0], [sigma(s0)]
 
     def record():
-        # the state y at s, its sigma as characteristic_value forms it
+        # the state y at s and its sigma
         if s <= ss[-1]:
             return
         st = FlowState._make(_unpack(y, d))
         states.append(st)
         ss.append(s)
-        sigmas.append(st.tau ** 2 - (st.xi ** 2 + g.terms(st.theta, st.zeta)[1])
-                      / st.r ** 2 if st.r > R_FLOOR else float("nan"))
+        sigmas.append(sigma(st))
 
     def finish(reason=None):
         traj = Trajectory(states=tuple(states), s_values=np.array(ss),

@@ -55,15 +55,21 @@ class ModeParams:
     nu: float
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("coupling a must be >= 0")
+        _check_coupling(self.a)
         expected = math.sqrt(self.n * self.n + self.a)
         if abs(self.nu - expected) > 1e-12 * (1.0 + expected):
             raise ValueError(f"nu must equal sqrt(n^2 + a) = {expected!r}")
 
 
+def _check_coupling(a: float):
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"coupling a must be finite and >= 0, got {a!r}")
+
+
 def mode_params(n: int, a: float) -> ModeParams:
-    return ModeParams(n=int(n), a=float(a), nu=math.sqrt(n * n + a))
+    a = float(a)
+    _check_coupling(a)      # before the square root
+    return ModeParams(n=int(n), a=a, nu=math.sqrt(n * n + a))
 
 
 @dataclass(frozen=True)

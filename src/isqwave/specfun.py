@@ -1,7 +1,8 @@
-"""Special functions: Gamma, Bessel J of real order nu >= 0, and the
-second-kind Legendre function of half-integer-shifted degree on (1, inf).
+"""Special functions: Bessel J of real order nu >= 0, and the second-kind
+Legendre function of half-integer-shifted degree on (1, inf).
 
-Everything is self-contained (no library special functions). Bessel J is
+Both are written here; the one library special function used is
+`math.gamma`, which normalises the Miller branch. Bessel J is
 evaluated by Miller's backward recurrence for small-to-moderate argument or
 large order, and by the large-argument phase expansion at reduced order plus
 upward recurrence otherwise; both branches overlap and are cross-checked in
@@ -20,7 +21,6 @@ MILLER_Z_MAX = 20.0        # Miller's algorithm up to here for any order
 MILLER_ORDER_RATIO = 0.75  # and beyond, whenever nu >= ratio * z
 BESSEL_Z_MAX = 2.0 ** 40   # past it the rounded phase z - (2mu+1)pi/4 errs > 1e-10
 _LOG_EPS = 53 * math.log(2.0)  # -ln of the double-precision unit roundoff
-_GAMMA_X_MAX = 171.62      # Gamma(x) overflows a double just above this
 _Q_TOL = 1e-11
 
 
@@ -33,40 +33,6 @@ def _order_value(order) -> float:
     if not math.isfinite(nu) or nu < 0:
         raise DomainError(f"order must be finite and >= 0, got {order!r}")
     return nu
-
-
-# Lanczos coefficients, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_series(x: float) -> float:
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (x - 1.0 + i)
-    return acc
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for 0 < x <= 171.62, relative error around 1e-13 on
-    [0.5, 171.62]; above that Gamma(x) overflows and DomainError is raised."""
-    if not (0 < x <= _GAMMA_X_MAX):
-        raise DomainError(f"gamma requires 0 < x <= {_GAMMA_X_MAX}, got {x!r}")
-    t = x + _LANCZOS_G - 0.5
-    # t^(x - 1/2) alone overflows from x ~ 143; exp(-t) scales each half back
-    half_power = t ** (0.5 * (x - 0.5))
-    return math.sqrt(2.0 * math.pi) * half_power * (half_power * math.exp(-t)) \
-        * _lanczos_series(x)
 
 
 def _debye_exponent(n: float, z: float) -> float:
@@ -127,7 +93,7 @@ def _bessel_miller(nu: float, z, segments):
     n_top = segments[0][0]
     # c_0 = Gamma(mu + 1) and c_k = (mu + 2k) g_k with g_k = Gamma(mu + k) / k!
     weight = [0.0] * (n_top + 1)
-    g = weight[0] = gamma(mu + 1.0)
+    g = weight[0] = math.gamma(mu + 1.0)
     for k in range(1, n_top // 2 + 1):
         weight[2 * k] = (mu + 2 * k) * g
         g *= (mu + k) / (k + 1)

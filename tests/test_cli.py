@@ -128,6 +128,25 @@ class TestSpecfun:
         _, header, rows = parse_csv(out)
         assert float(rows[0][3]) == pytest.approx(24.0, rel=1e-13)
 
+    def test_gamma_half_is_root_pi(self, capsys):
+        code, out, _ = run_cli(capsys, "specfun", "--function", "gamma",
+                               "--arg-min", "0.5", "--arg-max", "0.5",
+                               "--points", "1", "--reproducible")
+        assert code == EXIT_OK
+        _, _, rows = parse_csv(out)
+        assert float(rows[0][3]) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+    @pytest.mark.parametrize("x", ["0", "-2.5", "172"])
+    def test_gamma_outside_its_envelope_is_a_usage_error(self, capsys, x):
+        # Gamma has a pole at 0 and overflows a double just above 171.62
+        code, out, err = run_cli(capsys, "specfun", "--function", "gamma",
+                                 "--arg-min", x, "--arg-max", x,
+                                 "--points", "1", "--reproducible")
+        assert code == EXIT_USAGE
+        assert "usage" in err
+        assert f"gamma requires 0 < x <= 171.62, got {float(x)!r}" in err
+        assert out == ""
+
 
 class TestFrontScan:
     def test_quarter_coupling_jump(self, capsys):
@@ -223,6 +242,14 @@ class TestKernelGrid:
         meta, _, rows = parse_csv(out)
         assert rows == []
         assert meta["cone_rows_skipped"] == "1"
+
+    def test_non_finite_coupling_is_named(self, capsys):
+        # a nan coupling reached the quadrature as a non-finite integrand
+        code, out, err = run_cli(capsys, "kernel-grid", "--a", "nan",
+                                 "--reproducible")
+        assert code == EXIT_CHECK
+        assert out == ""
+        assert "coupling a must be finite and >= 0, got nan" in err
 
     @pytest.mark.parametrize("option", ["--r1-max", "--r2", "--t-max"])
     def test_bound_below_zero_is_a_usage_error(self, capsys, option):

@@ -653,6 +653,25 @@ class TestTypedOverflow:
             sec_envelope_bound(s, circle())
 
 
+class TestSigmaAtTheOrigin:
+    """sigma divides by r^2: a flow logs it as nan at r <= R_FLOOR, its start
+    included, and characteristic_value refuses a state whose r^2 is 0."""
+
+    @pytest.mark.parametrize("r", [0.0, 1e-13])
+    def test_rescaled_flow_logs_nan_at_every_state(self, r):
+        # the rescaled field is smooth at r = 0; r stays below R_FLOOR here
+        s0 = FlowState(t=0.0, r=r, theta=(0.0,), tau=1.0, xi=0.0, zeta=(1.0,))
+        traj = integrate_flow(s0, circle(), 0.1, 0.01, "rescaled")
+        assert len(traj.states) == 11
+        assert all(st.r <= geodesic.R_FLOOR for st in traj.states)
+        assert np.isnan(traj.sigma_values).all()
+
+    @pytest.mark.parametrize("r", [0.0, 1e-170])
+    def test_characteristic_value_refuses_zero_r_squared(self, r):
+        with pytest.raises(OriginSingularity, match="r\\^2 is 0"):
+            characteristic_value(radial_state(r=r), circle())
+
+
 # two-term dots where the plain-float path must hand over to np.dot, or
 # where its split and sum are exact only just
 _EDGE = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-150,

@@ -113,6 +113,14 @@ class TestModeParams:
         with pytest.raises(ValueError):
             mode_params(0, -0.1)
 
+    @pytest.mark.parametrize("n, a", [(0, -1.0), (0, math.nan), (1, math.inf)])
+    def test_bad_coupling_named_before_the_square_root(self, n, a):
+        # -1 met sqrt's "math domain error"; nan and inf were accepted
+        with pytest.raises(ValueError, match="coupling a must be finite and >= 0"):
+            mode_params(n, a)
+        with pytest.raises(ValueError, match="coupling a must be finite and >= 0"):
+            ModeParams(n=n, a=a, nu=math.nan)
+
     def test_kernel_point_validation(self):
         with pytest.raises(ValueError):
             KernelPoint(0.0, 1.0, 1.0)

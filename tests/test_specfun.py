@@ -15,7 +15,6 @@ from isqwave.specfun import (
     DomainError,
     bessel_j,
     bessel_j_array,
-    gamma,
     legendre_q_shifted,
 )
 
@@ -41,7 +40,7 @@ def poisson_integral_j(nu: float, z: float) -> float:
         return 2.0 * w * (1.0 - t * t) ** (nu - 0.5) * math.cos(z * t)
     r2 = integrate_adaptive(g, 0.0, math.sqrt(1e-6), 1e-13)
     val = 2.0 * (r.value + r2.value)
-    return (z / 2.0) ** nu / (gamma(0.5) * gamma(nu + 0.5)) * val
+    return (z / 2.0) ** nu / (math.gamma(0.5) * math.gamma(nu + 0.5)) * val
 
 
 def q_degree_zero(Z: float) -> float:
@@ -50,50 +49,6 @@ def q_degree_zero(Z: float) -> float:
 
 def q_degree_one(Z: float) -> float:
     return 0.5 * Z * math.log((Z + 1.0) / (Z - 1.0)) - 1.0
-
-
-# ---- gamma ----
-
-def test_gamma_unit():
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_gamma_half():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-
-def test_gamma_factorial():
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-12)
-
-
-def test_gamma_against_stdlib_lgamma():
-    worst = 0.0
-    x = 0.5
-    while x <= 50.0:
-        rel = abs(gamma(x) - math.exp(math.lgamma(x))) / math.exp(math.lgamma(x))
-        worst = max(worst, rel)
-        x += 0.17
-    assert worst <= 1e-12
-
-
-def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma(0.0)
-    with pytest.raises(DomainError):
-        gamma(-2.5)
-
-
-def test_gamma_up_to_overflow():
-    # finite up to x ~ 171.62, where Gamma leaves the double range
-    assert gamma(150.0) == pytest.approx(math.gamma(150.0), rel=1e-12)
-    with pytest.raises(DomainError):
-        gamma(172.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.5, 29.0))
-def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
 # ---- bessel_j ----

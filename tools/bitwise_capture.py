@@ -46,7 +46,11 @@ directory. The JSON printed holds
                   and 12; of scalar bessel_j at seeded z in (20, 400] for
                   orders 0.3, 1.3, 2.7 and 12 (floor(nu) = 0, 1, 2 and 12:
                   one reduced order, both, one and eleven steps of upward
-                  recurrence); of hankel_transform
+                  recurrence); of scalar bessel_j on its Miller branch, at
+                  seeded z in (0, 20] for those orders and at seeded
+                  z in (20, nu / 0.75] for orders 16, 30.5 and 75.25;
+                  verify_lipschitz_hankel as hex on the full verify
+                  tier's (nu, ratio, t) grid; of hankel_transform
                   applied twice over the benchmark's 80/160/320 involution
                   chain at orders 0, 0.5, 1.3 and 2; verify_involution on
                   that chain as hex; the eigen pair H(L g), H(g) at 4 and
@@ -278,7 +282,7 @@ def mixed_rows(ker, rng) -> dict:
     return out
 
 
-def hankel_values(hk, sf) -> dict:
+def hankel_values(hk, ker, sf) -> dict:
     rng = random.Random(0x4841)
     bessel = {}
     for nu in (0.0, 0.5, 1.3, 2.0, 12.0):
@@ -290,6 +294,16 @@ def hankel_values(hk, sf) -> dict:
     for nu in (0.3, 1.3, 2.7, 12.0):
         z = [rng.uniform(20.0, 400.0) for _ in range(400)] + [400.0]
         scalar[repr(nu)] = _digest([_hex(sf.bessel_j(nu, x) for x in z)])
+    miller = {}
+    for nu in (0.3, 1.3, 2.7, 12.0):
+        z = [20.0 - rng.uniform(0.0, 20.0) for _ in range(400)] + [20.0]
+        miller[repr(nu)] = _digest([_hex(sf.bessel_j(nu, x) for x in z)])
+    for nu in (16.0, 30.5, 75.25):
+        z = [nu / 0.75 - rng.uniform(0.0, nu / 0.75 - 20.0) for _ in range(400)]
+        miller[repr(nu)] = _digest([_hex(sf.bessel_j(nu, x) for x in z)])
+    lipschitz = [ker.verify_lipschitz_hankel(nu, ratio, 1.0, t).hex()
+                 for nu in (0.5, 1.2, 2.5) for ratio in (0.5, 1.0, 2.0)
+                 for t in (0.8, 1.5, 3.0)]
     chain, involution = [], []
     for nu in (0.0, 0.5, 1.3, 2.0):
         for n in (80, 160, 320):
@@ -320,6 +334,7 @@ def hankel_values(hk, sf) -> dict:
             rows.append(_hex(hk.hankel_transform(f, 1.3, lam).values))
         regrid["/".join(map(str, sizes))] = _digest(rows)
     return {"bessel_j_array": bessel, "bessel_j": scalar,
+            "bessel_j_miller": miller, "lipschitz_hankel": lipschitz,
             "transforms": _digest(chain), "verify_involution": involution,
             "eigen": eigen, "regrid": regrid}
 
@@ -374,7 +389,8 @@ def main(argv: list) -> int:
     out = {"machine": machine(), "flows": flows(geo), "samples": samples(geo, en),
            "audits": audits(geo, en), "dual_route": dual_route(geo, en),
            "alpha_star": en.alpha_star().hex(),
-           "kernel": kernel_values(ker, orc), "hankel": hankel_values(hk, sf),
+           "kernel": kernel_values(ker, orc),
+           "hankel": hankel_values(hk, ker, sf),
            "oracle": oracle_values(chk, orc),
            "csv": csv_digests(tree)}
     print(json.dumps(out, indent=1, sort_keys=True))
